@@ -11,9 +11,9 @@
 //!   ablation                  chain/embedding techniques toggled off
 //!   capacity                  in-core capacity at a 64 MiB budget (§4.4)
 //!   parallel                  mine-phase scaling with worker threads
-//!   skew                      static vs dynamic scheduling on a skewed
-//!                             dataset; with --csv also writes a
-//!                             cfp-profile/2 JSON per schedule
+//!   skew                      round-robin deal vs dynamic scheduling on
+//!                             a skewed dataset; with --csv also writes
+//!                             the dynamic run's cfp-profile/2 JSON
 //!   profile                   traced CFP run on Quest1, written as a
 //!                             cfp-profile/2 JSON document
 //!   all                       everything above
@@ -151,31 +151,25 @@ fn run(name: &str, csv_dir: Option<&std::path::Path>) {
         "parallel" => emit("parallel", &experiments::parallel_scaling(), csv_dir),
         "skew" => {
             emit("skew", &experiments::skew(), csv_dir);
-            // One cfp-profile/1 document per schedule, so the steal and
+            // The dynamic run's cfp-profile/2 document, so the steal and
             // arena-reset counters are inspectable machine-readably.
             let p = cfp_data::profiles::by_name("kosarak-like").expect("profile exists");
             let db = p.generate();
             let minsup = p.absolute_support(&db, 2);
-            for schedule in [cfp_core::Schedule::Static, cfp_core::Schedule::Dynamic] {
-                let miner = cfp_core::ParallelCfpGrowthMiner {
-                    schedule,
-                    ..cfp_core::ParallelCfpGrowthMiner::new(4)
-                };
-                let report = cfp_bench::report::profile_run(&miner, &db, "kosarak-like", minsup, 4)
-                    .with_schedule(schedule.name());
-                let name = format!("profile_skew_{}.json", schedule.name());
-                let path = csv_dir.map(|d| d.join(&name)).unwrap_or_else(|| PathBuf::from(&name));
-                if let Err(e) = std::fs::write(&path, report.to_json().to_pretty()) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-                println!(
-                    "profile: kosarak-like {} schedule  itemsets {}  -> {}",
-                    schedule.name(),
-                    report.itemsets,
-                    path.display()
-                );
+            let miner = cfp_core::ParallelCfpGrowthMiner::new(4);
+            let report = cfp_bench::report::profile_run(&miner, &db, "kosarak-like", minsup, 4)
+                .with_schedule("dynamic");
+            let name = "profile_skew_dynamic.json";
+            let path = csv_dir.map(|d| d.join(name)).unwrap_or_else(|| PathBuf::from(name));
+            if let Err(e) = std::fs::write(&path, report.to_json().to_pretty()) {
+                eprintln!("cannot write {}: {e}", path.display());
+                std::process::exit(1);
             }
+            println!(
+                "profile: kosarak-like dynamic schedule  itemsets {}  -> {}",
+                report.itemsets,
+                path.display()
+            );
         }
         "profile" => {
             let db = cfp_data::profiles::by_name("quest1").expect("profile exists").generate();
@@ -394,7 +388,6 @@ fn bench_set() -> Vec<Bench> {
         Bench {
             name: "kosarak-par4",
             miner: Box::new(cfp_core::ParallelCfpGrowthMiner {
-                schedule: cfp_core::Schedule::Dynamic,
                 pool: Some(k_pool.clone()),
                 ..cfp_core::ParallelCfpGrowthMiner::new(4)
             }),
@@ -411,7 +404,6 @@ fn bench_set() -> Vec<Bench> {
             name: "kosarak-ckpt",
             miner: Box::new(CkptMiner {
                 inner: cfp_core::ParallelCfpGrowthMiner {
-                    schedule: cfp_core::Schedule::Dynamic,
                     pool: Some(kc_pool.clone()),
                     ..cfp_core::ParallelCfpGrowthMiner::new(4)
                 },
@@ -431,7 +423,6 @@ fn bench_set() -> Vec<Bench> {
             // by results/BENCH_kosarak-closed.json.
             name: "kosarak-closed",
             miner: Box::new(cfp_core::ParallelCfpGrowthMiner {
-                schedule: cfp_core::Schedule::Dynamic,
                 pool: Some(kcl_pool.clone()),
                 output: cfp_core::OutputMode::Closed,
                 ..cfp_core::ParallelCfpGrowthMiner::new(4)

@@ -468,14 +468,28 @@ pub fn parallel_scaling() -> Table {
     t
 }
 
+/// Per-worker cost of a fixed round-robin deal of the first-level items
+/// (item `i` to worker `i mod threads`), under the cost estimate the
+/// dynamic task queue sorts by: each item's encoded subarray bytes.
+pub fn round_robin_costs(db: &TransactionDb, minsup: u64, threads: usize) -> Vec<u64> {
+    let (_, tree) = cfp_core::build_tree(db, minsup);
+    let array = cfp_core::convert(&tree);
+    let mut costs = vec![0u64; threads];
+    for item in 0..array.num_items() as u32 {
+        costs[item as usize % threads] += array.subarray_bytes(item);
+    }
+    costs
+}
+
 /// Skew benchmark: mine-phase load balance on a heavy-tailed dataset,
-/// static round-robin deal vs. the dynamic work-stealing scheduler.
+/// a fixed round-robin deal vs. the dynamic work-stealing scheduler.
 ///
-/// Reports per-worker claimed cost (the max/min ratio is the imbalance
-/// measure), mine time, and the scheduler's trace counters (claims,
-/// steals, arena resets) for each schedule at four workers.
+/// Reports per-worker cost (the max/min ratio is the imbalance measure)
+/// at four workers: computed for the round-robin deal, measured for a
+/// dynamic run together with its mine time and the scheduler's trace
+/// counters (claims, steals, arena resets).
 pub fn skew() -> Table {
-    use cfp_core::{ParallelCfpGrowthMiner, Schedule};
+    use cfp_core::ParallelCfpGrowthMiner;
     use cfp_trace::counters as tc;
     let p = profiles::by_name("kosarak-like").expect("profile exists");
     let db = p.generate();
@@ -495,34 +509,42 @@ pub fn skew() -> Table {
             "arena resets",
         ],
     );
-    let mut itemsets: Option<u64> = None;
-    for schedule in [Schedule::Static, Schedule::Dynamic] {
-        let was_enabled = cfp_trace::enabled();
-        cfp_trace::set_enabled(true);
-        cfp_trace::reset();
-        let miner = ParallelCfpGrowthMiner { schedule, ..ParallelCfpGrowthMiner::new(threads) };
-        let stats = run_miner(&miner, &db, minsup);
-        let (claims, steals, resets) =
-            (tc::CORE_TASKS_CLAIMED.get(), tc::CORE_TASKS_STOLEN.get(), tc::MEMMAN_RESETS.get());
-        cfp_trace::set_enabled(was_enabled);
-        if let Some(expect) = itemsets {
-            assert_eq!(stats.itemsets, expect, "schedules disagree");
-        } else {
-            itemsets = Some(stats.itemsets);
-        }
-        let max = stats.worker_costs.iter().copied().max().unwrap_or(0);
-        let min = stats.worker_costs.iter().copied().min().unwrap_or(0);
-        let tasks: Vec<String> = stats.worker_tasks.iter().map(u64::to_string).collect();
-        t.push_row(vec![
-            schedule.name().into(),
-            secs(stats.mine_time),
-            format!("x{:.2}", max as f64 / min.max(1) as f64),
-            tasks.join("/"),
-            claims.to_string(),
-            steals.to_string(),
-            resets.to_string(),
-        ]);
-    }
+    let imbalance = |costs: &[u64]| {
+        let max = costs.iter().copied().max().unwrap_or(0);
+        let min = costs.iter().copied().min().unwrap_or(0);
+        format!("x{:.2}", max as f64 / min.max(1) as f64)
+    };
+    let dealt = round_robin_costs(&db, minsup, threads);
+    let n = ItemRecoder::scan(&db, minsup).num_items();
+    let dealt_tasks: Vec<String> =
+        (0..threads).map(|w| (n / threads + usize::from(w < n % threads)).to_string()).collect();
+    t.push_row(vec![
+        "round-robin".into(),
+        "-".into(),
+        imbalance(&dealt),
+        dealt_tasks.join("/"),
+        "-".into(),
+        "-".into(),
+        "-".into(),
+    ]);
+
+    let was_enabled = cfp_trace::enabled();
+    cfp_trace::set_enabled(true);
+    cfp_trace::reset();
+    let stats = run_miner(&ParallelCfpGrowthMiner::new(threads), &db, minsup);
+    let (claims, steals, resets) =
+        (tc::CORE_TASKS_CLAIMED.get(), tc::CORE_TASKS_STOLEN.get(), tc::MEMMAN_RESETS.get());
+    cfp_trace::set_enabled(was_enabled);
+    let tasks: Vec<String> = stats.worker_tasks.iter().map(u64::to_string).collect();
+    t.push_row(vec![
+        "dynamic".into(),
+        secs(stats.mine_time),
+        imbalance(&stats.worker_costs),
+        tasks.join("/"),
+        claims.to_string(),
+        steals.to_string(),
+        resets.to_string(),
+    ]);
     t
 }
 
@@ -607,7 +629,7 @@ mod tests {
     ///
     /// 53 items: 10 fillers (recoded 0..9), 40 single-node padding items
     /// (10..49), then the tail heavy1 (50), a light mid item (51), and
-    /// heavy2 (52). With n = 53, the static deal sends even recoded ids —
+    /// heavy2 (52). The round-robin deal sends even recoded ids —
     /// including both heavies — to worker 0. Each heavy item sits under
     /// ~900 distinct filler-subset prefixes, so its subarray dwarfs
     /// everything else and the mine phase is long enough for both dynamic
@@ -655,39 +677,34 @@ mod tests {
 
     #[test]
     fn dynamic_schedule_balances_the_parity_skewed_load_better() {
-        use cfp_core::{ParallelCfpGrowthMiner, Schedule};
+        use cfp_core::ParallelCfpGrowthMiner;
         let db = parity_skewed_db();
         let imbalance = |costs: &[u64]| {
             let max = *costs.iter().max().unwrap() as f64;
             // A worker that claimed nothing makes the ratio infinite.
             max / *costs.iter().min().unwrap() as f64
         };
-        let stat_miner =
-            ParallelCfpGrowthMiner { schedule: Schedule::Static, ..ParallelCfpGrowthMiner::new(2) };
-        let stat = run_miner(&stat_miner, &db, 1);
-        let static_imb = imbalance(&stat.worker_costs);
-        assert!(static_imb > 1.5, "construction must skew the static deal, got {static_imb:.2}");
-        let dyn_miner = ParallelCfpGrowthMiner {
-            schedule: Schedule::Dynamic,
-            ..ParallelCfpGrowthMiner::new(2)
-        };
+        let dealt = imbalance(&round_robin_costs(&db, 1, 2));
+        assert!(dealt > 1.5, "construction must skew the round-robin deal, got {dealt:.2}");
         // The dynamic split depends on claim timing; the best of a few
         // runs is what the scheduler can achieve, and must beat the
-        // deterministic static deal.
+        // deterministic round-robin deal.
+        let miner = ParallelCfpGrowthMiner::new(2);
+        let expect = run_miner(&cfp_core::CfpGrowthMiner::new(), &db, 1).itemsets;
         let mut best = f64::INFINITY;
         for _ in 0..5 {
-            let stats = run_miner(&dyn_miner, &db, 1);
-            assert_eq!(stats.itemsets, stat.itemsets, "schedules disagree");
+            let stats = run_miner(&miner, &db, 1);
+            assert_eq!(stats.itemsets, expect, "parallel and sequential disagree");
             best = best.min(imbalance(&stats.worker_costs));
         }
-        assert!(best < static_imb, "dynamic {best:.2} must beat static {static_imb:.2}");
+        assert!(best < dealt, "dynamic {best:.2} must beat round-robin {dealt:.2}");
     }
 
     #[test]
     fn skew_table_reports_both_schedules() {
         let t = skew();
         assert_eq!(t.rows.len(), 2);
-        assert_eq!(t.rows[0][0], "static");
+        assert_eq!(t.rows[0][0], "round-robin");
         assert_eq!(t.rows[1][0], "dynamic");
         // The dynamic row's claim counter covers every first-level item
         // and its arena resets are visible.

@@ -10,11 +10,9 @@
 //!
 //!   --algorithm NAME   cfp (default), fp, apriori, eclat, lcm,
 //!                      nonordfp, tiny, fparray
-//!   --threads N        parallel CFP-growth with N workers
-//!   --schedule S       parallel mine-phase scheduling: dynamic
-//!                      (default; work-stealing claims from a shared
-//!                      cost-sorted queue, deterministic output) or
-//!                      static (fixed round-robin deal)
+//!   --threads N        parallel CFP-growth with N workers (claiming
+//!                      cost-sorted items from a shared queue; output
+//!                      is byte-identical to one worker)
 //!   --mem-budget B     cap the build-phase arena at B bytes (k/m/g
 //!                      suffixes allowed; cfp algorithms only)
 //!   --skip-bad-lines   drop malformed input lines instead of failing
@@ -73,8 +71,8 @@
 //!                      PID lockfile. Requires the cfp algorithm,
 //!                      streaming output (--output all, closed, or
 //!                      maximal; no --count, --top/topk, or --rules),
-//!                      the dynamic schedule, and --recover off or
-//!                      spill (condensed modes: --recover off only)
+//!                      and --recover off or spill (condensed modes:
+//!                      --recover off only)
 //!   --checkpoint-every N  commit the manifest every N completed
 //!                      top-level items (default 32; spill partitions
 //!                      always commit per partition)
@@ -109,8 +107,8 @@
 //! completes the run.
 
 use cfp_core::{
-    CfpGrowthMiner, CollectSink, CountingSink, ItemsetSink, MineStats, Miner, MiningImage,
-    OutputMode, ParallelCfpGrowthMiner, RecoveryPolicy, RecoveryReport, Schedule, Supervisor,
+    CfpGrowthMiner, CkptProgress, CollectSink, CountingSink, ItemsetSink, MineStats, Miner,
+    MiningImage, OutputMode, ParallelCfpGrowthMiner, RecoveryPolicy, RecoveryReport, Supervisor,
     TopKSink, TransactionDb,
 };
 use cfp_data::{CfpError, ParsePolicy};
@@ -126,7 +124,6 @@ struct Options {
     support: SupportSpec,
     algorithm: String,
     threads: usize,
-    schedule: Schedule,
     mem_budget: Option<u64>,
     skip_bad_lines: bool,
     output: OutputMode,
@@ -163,7 +160,7 @@ enum SupportSpec {
 fn print_usage() {
     eprintln!("usage: cfp-mine <input.dat> --support <N | P%> [options]");
     eprintln!("  --algorithm cfp|fp|apriori|eclat|lcm|nonordfp|tiny|fparray");
-    eprintln!("  --threads N | --schedule static|dynamic | --mem-budget BYTES[k|m|g]");
+    eprintln!("  --threads N | --mem-budget BYTES[k|m|g]");
     eprintln!("  --skip-bad-lines");
     eprintln!("  --output all|closed|maximal|topk:N");
     eprintln!("  --count | --top K | --closed | --maximal");
@@ -218,7 +215,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         support: SupportSpec::Absolute(0),
         algorithm: "cfp".into(),
         threads: 1,
-        schedule: Schedule::default(),
         mem_budget: None,
         skip_bad_lines: false,
         output: OutputMode::All,
@@ -277,7 +273,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--threads" => {
                 opts.threads = value(arg)?.parse().map_err(|_| "bad thread count".to_string())?;
             }
-            "--schedule" => opts.schedule = value(arg)?.parse()?,
             "--mem-budget" => opts.mem_budget = Some(parse_bytes(&value(arg)?)?),
             "--skip-bad-lines" => opts.skip_bad_lines = true,
             "--output" => {
@@ -423,11 +418,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                  --output=topk, or --rules; baseline --closed/--maximal collect in memory)"
                 .to_string());
         }
-        if opts.schedule != Schedule::Dynamic {
-            return Err("--checkpoint-dir requires --schedule dynamic (static output order is \
-                 nondeterministic, so no byte watermark exists)"
-                .to_string());
-        }
         if !matches!(opts.recover, RecoveryPolicy::Off | RecoveryPolicy::Spill) {
             return Err("--checkpoint-dir requires --recover off or spill (the other rungs \
                  re-emit output without a resumable watermark)"
@@ -460,39 +450,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// How the run executes: a plain miner, a sequential CFP miner with
-/// non-default [`cfp_core::MineOpts`] (an attribution pool from
-/// `--mem-report`, a cancel token from `--deadline`), or the recovery
-/// supervisor wrapping one (`--recover` other than `off`, cfp only).
-enum Runner {
-    Plain(Box<dyn Miner>),
-    Seq(CfpGrowthMiner, cfp_core::MineOpts),
-    Supervised(Supervisor),
-}
-
-impl Runner {
-    /// Runs the mining phase; a supervised run also yields its
-    /// [`RecoveryReport`] for the profile's degradation section.
-    fn mine(
-        &self,
-        db: &TransactionDb,
-        min_support: u64,
-        sink: &mut dyn ItemsetSink,
-        degradation: &mut Option<RecoveryReport>,
-    ) -> Result<MineStats, CfpError> {
-        match self {
-            Runner::Plain(m) => m.try_mine(db, min_support, sink),
-            Runner::Seq(m, mine_opts) => m.try_mine_with(db, min_support, sink, mine_opts),
-            Runner::Supervised(s) => {
-                let (r, report) = s.mine(db, min_support, sink);
-                stash_blackbox_degradation(&report);
-                *degradation = Some(report);
-                r
-            }
-        }
-    }
-}
-
 /// Builds the attribution pool a `--mem-report` run charges. Admission
 /// must be byte-identical to a run without the flag: sequential runs get
 /// an unlimited pool (their `--mem-budget` stays a per-arena cap), while
@@ -506,92 +463,117 @@ fn attribution_pool(opts: &Options) -> cfp_memman::BudgetPool {
     }
 }
 
-fn runner_by_name(
-    opts: &Options,
-    pool: Option<&cfp_memman::BudgetPool>,
-    cancel: Option<&cfp_fault::CancelToken>,
-) -> Result<Runner, String> {
-    let budget_ignored = |name: &str| {
-        if opts.mem_budget.is_some() {
-            eprintln!(
-                "warning: --mem-budget only applies to the cfp algorithms; ignored for {name}"
-            );
-        }
-    };
-    if opts.recover != RecoveryPolicy::Off {
-        if opts.algorithm != "cfp" {
-            return Err(format!(
-                "--recover only applies to the cfp algorithm, not {:?}",
-                opts.algorithm
-            ));
-        }
-        return Ok(Runner::Supervised(Supervisor {
-            threads: opts.threads,
-            schedule: opts.schedule,
-            single_path_opt: true,
-            mem_budget: opts.mem_budget,
-            policy: opts.recover,
-            worker_timeout: opts.worker_timeout,
-            spill_dir: opts.spill_dir.as_ref().map(std::path::PathBuf::from),
-            cancel: cancel.cloned(),
-            output: opts.output,
-        }));
+/// The baseline miner `--algorithm` names, or `None` for cfp.
+fn baseline_by_name(opts: &Options) -> Result<Option<Box<dyn Miner>>, String> {
+    if opts.recover != RecoveryPolicy::Off && opts.algorithm != "cfp" {
+        return Err(format!(
+            "--recover only applies to the cfp algorithm, not {:?}",
+            opts.algorithm
+        ));
     }
-    Ok(Runner::Plain(match opts.algorithm.as_str() {
-        "cfp" if opts.threads > 1 => Box::new(ParallelCfpGrowthMiner {
-            schedule: opts.schedule,
-            mem_budget: opts.mem_budget,
-            pool: pool.cloned(),
-            worker_timeout: opts.worker_timeout,
-            cancel: cancel.cloned(),
-            output: opts.output,
-            ..ParallelCfpGrowthMiner::new(opts.threads)
-        }),
-        "cfp" => {
-            let miner = CfpGrowthMiner { single_path_opt: true, mem_budget: opts.mem_budget };
-            if pool.is_some() || cancel.is_some() || opts.output != OutputMode::All {
-                return Ok(Runner::Seq(
-                    miner,
-                    cfp_core::MineOpts {
-                        pool: pool.cloned(),
-                        cancel: cancel.cloned(),
-                        output: opts.output,
-                        ..Default::default()
-                    },
-                ));
-            }
-            Box::new(miner)
-        }
-        "fp" => {
-            budget_ignored("fp");
-            Box::new(cfp_fptree::FpGrowthMiner::new())
-        }
-        "apriori" => {
-            budget_ignored("apriori");
-            Box::new(cfp_baselines::AprioriMiner::new())
-        }
-        "eclat" => {
-            budget_ignored("eclat");
-            Box::new(cfp_baselines::EclatMiner::new())
-        }
-        "lcm" => {
-            budget_ignored("lcm");
-            Box::new(cfp_baselines::LcmStyleMiner::new())
-        }
-        "nonordfp" => {
-            budget_ignored("nonordfp");
-            Box::new(cfp_baselines::NonordFpMiner::new())
-        }
-        "tiny" => {
-            budget_ignored("tiny");
-            Box::new(cfp_baselines::TinyStyleMiner::new())
-        }
-        "fparray" => {
-            budget_ignored("fparray");
-            Box::new(cfp_baselines::FpArrayStyleMiner::new())
-        }
+    let miner: Box<dyn Miner> = match opts.algorithm.as_str() {
+        "cfp" => return Ok(None),
+        "fp" => Box::new(cfp_fptree::FpGrowthMiner::new()),
+        "apriori" => Box::new(cfp_baselines::AprioriMiner::new()),
+        "eclat" => Box::new(cfp_baselines::EclatMiner::new()),
+        "lcm" => Box::new(cfp_baselines::LcmStyleMiner::new()),
+        "nonordfp" => Box::new(cfp_baselines::NonordFpMiner::new()),
+        "tiny" => Box::new(cfp_baselines::TinyStyleMiner::new()),
+        "fparray" => Box::new(cfp_baselines::FpArrayStyleMiner::new()),
         other => return Err(format!("unknown algorithm {other:?}")),
-    }))
+    };
+    if opts.mem_budget.is_some() {
+        eprintln!(
+            "warning: --mem-budget only applies to the cfp algorithms; ignored for {}",
+            opts.algorithm
+        );
+    }
+    Ok(Some(miner))
+}
+
+/// One run's mining driver — a baseline algorithm, or CFP-growth (the
+/// executor directly, or the supervisor's ladder under `--recover`) —
+/// plus the run-scoped state it mines with: the `--mem-report`
+/// attribution pool and the cancel token of `--deadline` and
+/// `--checkpoint-dir`.
+struct Run<'a> {
+    opts: &'a Options,
+    baseline: Option<Box<dyn Miner>>,
+    pool: Option<cfp_memman::BudgetPool>,
+    cancel: Option<cfp_fault::CancelToken>,
+}
+
+impl Run<'_> {
+    /// Mines `db` into `sink`, from `resume` when a checkpoint supplied
+    /// one; a supervised run also yields its [`RecoveryReport`] for the
+    /// profile's degradation section.
+    fn mine(
+        &self,
+        db: &TransactionDb,
+        min_support: u64,
+        sink: &mut dyn ItemsetSink,
+        resume: Option<CkptProgress>,
+        degradation: &mut Option<RecoveryReport>,
+    ) -> Result<MineStats, CfpError> {
+        let o = self.opts;
+        if let Some(miner) = &self.baseline {
+            return miner.try_mine(db, min_support, sink);
+        }
+        if o.recover != RecoveryPolicy::Off {
+            let supervisor = Supervisor {
+                threads: o.threads,
+                mem_budget: o.mem_budget,
+                policy: o.recover,
+                worker_timeout: o.worker_timeout,
+                spill_dir: o.spill_dir.as_ref().map(std::path::PathBuf::from),
+                cancel: self.cancel.clone(),
+                output: o.output,
+            };
+            // Checkpointed runs go straight to the partitioned rung: only
+            // it streams partition watermarks, so the monolithic rungs
+            // (whose output has no committed prefix) are skipped.
+            let (r, report) = if o.checkpoint_dir.is_some() {
+                let resume = match resume {
+                    Some(CkptProgress::Spill { parts_done, remaining }) => {
+                        Some((parts_done, remaining))
+                    }
+                    _ => None,
+                };
+                supervisor.mine_out_of_core(db, min_support, sink, resume)
+            } else {
+                supervisor.mine(db, min_support, sink)
+            };
+            stash_blackbox_degradation(&report);
+            *degradation = Some(report);
+            return r;
+        }
+        let resume_skip = match resume {
+            Some(CkptProgress::Mono { items_done }) => items_done,
+            _ => 0,
+        };
+        if o.threads > 1 {
+            let miner = ParallelCfpGrowthMiner {
+                mem_budget: o.mem_budget,
+                pool: self.pool.clone(),
+                worker_timeout: o.worker_timeout,
+                cancel: self.cancel.clone(),
+                resume_skip,
+                output: o.output,
+                ..ParallelCfpGrowthMiner::new(o.threads)
+            };
+            miner.try_mine(db, min_support, sink)
+        } else {
+            let mine_opts = cfp_core::MineOpts {
+                pool: self.pool.clone(),
+                cancel: self.cancel.clone(),
+                resume_skip,
+                output: o.output,
+                ..Default::default()
+            };
+            let miner = CfpGrowthMiner { single_path_opt: true, mem_budget: o.mem_budget };
+            miner.try_mine_with(db, min_support, sink, &mine_opts)
+        }
+    }
 }
 
 /// Exits with the documented code for a failed output write. A broken
@@ -921,21 +903,20 @@ fn exit_for_mine_error(e: CfpError) -> ! {
 /// committed, exit 8), or failed (structured exit). Exits the process on
 /// every error path; returns the run's stats on success.
 fn run_checkpointed(
-    opts: &Options,
+    run: &Run<'_>,
     db: &TransactionDb,
     min_support: u64,
-    cancel: Option<&cfp_fault::CancelToken>,
     degradation: &mut Option<RecoveryReport>,
 ) -> MineStats {
-    use cfp_core::{ckpt, CkptProgress};
+    use cfp_core::ckpt;
+    let opts = run.opts;
     let dir = std::path::Path::new(opts.checkpoint_dir.as_deref().expect("checkpoint dir set"));
     let recoder = cfp_core::ItemRecoder::scan(db, min_support);
     let counts = ckpt::counts_fingerprint(&recoder);
     let num_items = recoder.num_items() as u64;
     let spill_mode = opts.recover == RecoveryPolicy::Spill;
 
-    let mut resume_skip = 0u64;
-    let mut spill_resume: Option<(u64, Vec<(u32, u32)>)> = None;
+    let mut resume: Option<CkptProgress> = None;
     let mut base_bytes = 0u64;
     let mut base_itemsets = 0u64;
     if opts.resume {
@@ -966,11 +947,8 @@ fn run_checkpointed(
                                 ),
                             });
                         }
-                        resume_skip = *items_done;
                     }
-                    (CkptProgress::Spill { parts_done, remaining }, true) => {
-                        spill_resume = Some((*parts_done, remaining.clone()));
-                    }
+                    (CkptProgress::Spill { .. }, true) => {}
                     (p, _) => exit_for_mine_error(CfpError::Checkpoint {
                         path: manifest_path,
                         message: format!(
@@ -987,6 +965,7 @@ fn run_checkpointed(
                     m.progress.done(),
                     m.output_bytes
                 );
+                resume = Some(m.progress);
             }
             Err(e) => exit_for_mine_error(e),
         }
@@ -995,7 +974,7 @@ fn run_checkpointed(
         // Surface the resume point in the --progress heartbeat and the
         // metrics export (first-level items for mono runs, partitions
         // for spill runs; 0 = started fresh).
-        let watermark = resume_skip.max(spill_resume.as_ref().map_or(0, |(done, _)| *done));
+        let watermark = resume.as_ref().map_or(0, CkptProgress::done);
         cfp_trace::counters::CORE_RESUME_WATERMARK.record(watermark);
     }
 
@@ -1014,55 +993,10 @@ fn run_checkpointed(
         base_itemsets,
         emitted: 0,
         latest: None,
-        last_committed: resume_skip.max(spill_resume.as_ref().map_or(0, |(done, _)| *done)),
+        last_committed: resume.as_ref().map_or(0, CkptProgress::done),
     };
 
-    let result = if spill_mode {
-        // Checkpointed spill runs go straight out of core: only the
-        // streaming spill rung produces partition watermarks, so the
-        // in-memory rungs (whose output has no committed prefix) are
-        // skipped deliberately.
-        let supervisor = Supervisor {
-            threads: opts.threads,
-            schedule: opts.schedule,
-            single_path_opt: true,
-            mem_budget: opts.mem_budget,
-            policy: RecoveryPolicy::Spill,
-            worker_timeout: opts.worker_timeout,
-            spill_dir: opts.spill_dir.as_ref().map(std::path::PathBuf::from),
-            cancel: cancel.cloned(),
-            output: opts.output,
-        };
-        let (r, report) =
-            supervisor.mine_out_of_core_resumable(db, min_support, &mut sink, spill_resume);
-        stash_blackbox_degradation(&report);
-        *degradation = Some(report);
-        r
-    } else if opts.threads > 1 {
-        ParallelCfpGrowthMiner {
-            schedule: opts.schedule,
-            mem_budget: opts.mem_budget,
-            worker_timeout: opts.worker_timeout,
-            cancel: cancel.cloned(),
-            resume_skip,
-            output: opts.output,
-            ..ParallelCfpGrowthMiner::new(opts.threads)
-        }
-        .try_mine(db, min_support, &mut sink)
-    } else {
-        CfpGrowthMiner { single_path_opt: true, mem_budget: opts.mem_budget }.try_mine_with(
-            db,
-            min_support,
-            &mut sink,
-            &cfp_core::MineOpts {
-                cancel: cancel.cloned(),
-                resume_skip,
-                output: opts.output,
-                ..Default::default()
-            },
-        )
-    };
-
+    let result = run.mine(db, min_support, &mut sink, resume, degradation);
     match result {
         Ok(stats) => {
             let flushed = sink.out.flush();
@@ -1245,25 +1179,30 @@ fn main() {
     // The attribution pool exists only when --mem-report asked for it;
     // the mining run charges it so per-component peaks describe the
     // real run, and the post-run analytics pass audits against it.
-    let mem_pool = opts.mem_report.as_ref().map(|_| attribution_pool(&opts));
-    let runner = match runner_by_name(&opts, mem_pool.as_ref(), cancel.as_ref()) {
-        Ok(m) => m,
+    let baseline = match baseline_by_name(&opts) {
+        Ok(b) => b,
         Err(msg) => {
             eprintln!("cfp-mine: {msg}");
             print_usage();
             exit(EXIT_USAGE);
         }
     };
+    let run = Run {
+        opts: &opts,
+        baseline,
+        pool: opts.mem_report.as_ref().map(|_| attribution_pool(&opts)),
+        cancel,
+    };
     let needs_collection =
         opts.top.is_some() || opts.closed || opts.maximal || opts.rules.is_some();
     let mut degradation: Option<RecoveryReport> = None;
 
     let stats = if opts.checkpoint_dir.is_some() {
-        run_checkpointed(&opts, &db, min_support, cancel.as_ref(), &mut degradation)
+        run_checkpointed(&run, &db, min_support, &mut degradation)
     } else if opts.count_only {
         let mut sink = CountingSink::new();
-        let stats = runner
-            .mine(&db, min_support, &mut sink, &mut degradation)
+        let stats = run
+            .mine(&db, min_support, &mut sink, None, &mut degradation)
             .unwrap_or_else(|e| exit_for_mine_error(e));
         if let Err(e) = writeln!(std::io::stdout(), "{}", sink.count) {
             exit_for_write_error(&e);
@@ -1271,8 +1210,8 @@ fn main() {
         stats
     } else if let Some(k) = opts.top {
         let mut sink = TopKSink::new(k);
-        let stats = runner
-            .mine(&db, min_support, &mut sink, &mut degradation)
+        let stats = run
+            .mine(&db, min_support, &mut sink, None, &mut degradation)
             .unwrap_or_else(|e| exit_for_mine_error(e));
         if let Err(e) = print_itemsets(&sink.into_sorted()) {
             exit_for_write_error(&e);
@@ -1280,8 +1219,8 @@ fn main() {
         stats
     } else if needs_collection {
         let mut sink = CollectSink::new();
-        let stats = runner
-            .mine(&db, min_support, &mut sink, &mut degradation)
+        let stats = run
+            .mine(&db, min_support, &mut sink, None, &mut degradation)
             .unwrap_or_else(|e| exit_for_mine_error(e));
         let all = sink.into_sorted();
         if let Some(conf) = opts.rules {
@@ -1315,7 +1254,7 @@ fn main() {
         let stdout = std::io::stdout();
         let mut sink =
             PrintSink { out: std::io::BufWriter::new(stdout.lock()), count: 0, err: None };
-        let stats = match runner.mine(&db, min_support, &mut sink, &mut degradation) {
+        let stats = match run.mine(&db, min_support, &mut sink, None, &mut degradation) {
             Ok(stats) => stats,
             Err(e) => {
                 // A failed run — notably a `--deadline` interruption —
@@ -1390,7 +1329,7 @@ fn main() {
     }
     let mut memstat_summary: Option<cfp_trace::MemSummary> = None;
     if let Some(path) = &opts.mem_report {
-        let pool = mem_pool.as_ref().expect("pool exists whenever --mem-report is given");
+        let pool = run.pool.as_ref().expect("pool exists whenever --mem-report is given");
         // FP-tree baselines for the compression table, built from the
         // same counts the CFP structures use.
         let recoder = cfp_core::ItemRecoder::scan(&db, min_support);
@@ -1447,7 +1386,7 @@ fn main() {
             samples,
         );
         if opts.algorithm == "cfp" && opts.threads > 1 {
-            report = report.with_schedule(opts.schedule.name());
+            report = report.with_schedule("dynamic");
         }
         // A supervised run that needed its ladder records what happened;
         // healthy runs keep the section absent so the schema stays
@@ -1527,15 +1466,14 @@ mod tests {
 
     #[test]
     fn parse_args_schedule() {
-        let o = parse_args(&args(&["in.dat", "--support", "2"])).unwrap();
-        assert_eq!(o.schedule, Schedule::Dynamic);
-        let o = parse_args(&args(&["in.dat", "--support", "2", "--schedule", "static"])).unwrap();
-        assert_eq!(o.schedule, Schedule::Static);
-        let o = parse_args(&args(&["in.dat", "--support", "2", "--schedule=dynamic"])).unwrap();
-        assert_eq!(o.schedule, Schedule::Dynamic);
-        assert!(parse_args(&args(&["in.dat", "--support", "2", "--schedule", "fifo"]))
-            .unwrap_err()
-            .contains("unknown schedule"));
+        // Work-stealing is the only mine-phase schedule, so `--schedule`
+        // is not a flag in either spelling.
+        for spelling in [&["--schedule", "dynamic"][..], &["--schedule=static"][..]] {
+            let mut a = vec!["in.dat", "--support", "2"];
+            a.extend_from_slice(spelling);
+            let err = parse_args(&args(&a)).unwrap_err();
+            assert!(err.contains("unknown argument \"--schedule\""), "{err}");
+        }
     }
 
     #[test]
@@ -1582,7 +1520,7 @@ mod tests {
             "--recover=spill",
         ]))
         .unwrap();
-        assert!(runner_by_name(&o, None, None).is_err());
+        assert!(baseline_by_name(&o).is_err());
     }
 
     #[test]
@@ -1646,7 +1584,6 @@ mod tests {
             &["--checkpoint-dir=/tmp/ck", "--count"][..],
             &["--checkpoint-dir=/tmp/ck", "--top", "5"][..],
             &["--checkpoint-dir=/tmp/ck", "--rules", "0.5"][..],
-            &["--checkpoint-dir=/tmp/ck", "--schedule=static"][..],
             &["--checkpoint-dir=/tmp/ck", "--recover=partition"][..],
             &["--checkpoint-dir=/tmp/ck", "--mem-report", "m.json"][..],
             &["--checkpoint-dir=/tmp/ck", "--algorithm", "fp"][..],

@@ -10,8 +10,19 @@ fn write_sample() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("cfp_cli_tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sample.dat");
-    std::fs::write(&path, "1 2 5\n2 4\n2 3\n1 2 4\n1 3\n2 3\n1 3\n1 2 3 5\n1 2 3\n").unwrap();
+    write_whole(&path, "1 2 5\n2 4\n2 3\n1 2 4\n1 3\n2 3\n1 3\n1 2 3 5\n1 2 3\n");
     path
+}
+
+/// Writes a shared input file through a unique temporary name and a
+/// rename, so a test reading it while another test rewrites it always
+/// sees the whole file.
+fn write_whole(path: &std::path::Path, text: &str) {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp-{}-{seq}", std::process::id()));
+    std::fs::write(&tmp, text).unwrap();
+    std::fs::rename(&tmp, path).unwrap();
 }
 
 #[test]
@@ -58,10 +69,9 @@ fn algorithms_agree() {
     assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
 }
 
-/// The dynamic schedule's determinism contract, end to end: a parallel
-/// run must print byte-for-byte what the sequential run prints, with no
-/// sorting anywhere. The static schedule only promises the same multiset
-/// of lines.
+/// The parallel determinism contract, end to end: a parallel run must
+/// print byte-for-byte what the sequential run prints, with no sorting
+/// anywhere.
 #[test]
 fn dynamic_schedule_output_is_byte_identical_to_sequential() {
     let path = write_sample();
@@ -72,44 +82,25 @@ fn dynamic_schedule_output_is_byte_identical_to_sequential() {
     assert!(sequential.status.success());
     for threads in ["2", "4"] {
         let parallel = Command::new(bin())
-            .args([
-                path.to_str().unwrap(),
-                "--support",
-                "2",
-                "--threads",
-                threads,
-                "--schedule",
-                "dynamic",
-            ])
+            .args([path.to_str().unwrap(), "--support", "2", "--threads", threads])
             .output()
             .unwrap();
         assert!(parallel.status.success(), "{}", String::from_utf8_lossy(&parallel.stderr));
         assert_eq!(parallel.stdout, sequential.stdout, "--threads {threads} diverged");
     }
-    // Static still yields the same itemsets, just in worker-race order.
-    let stat = Command::new(bin())
-        .args([path.to_str().unwrap(), "--support", "2", "--threads", "4", "--schedule=static"])
-        .output()
-        .unwrap();
-    assert!(stat.status.success(), "{}", String::from_utf8_lossy(&stat.stderr));
-    let sorted = |bytes: &[u8]| {
-        let mut lines: Vec<String> =
-            String::from_utf8_lossy(bytes).lines().map(str::to_string).collect();
-        lines.sort();
-        lines
-    };
-    assert_eq!(sorted(&stat.stdout), sorted(&sequential.stdout));
 }
 
+/// There is one mine-phase schedule, so `--schedule` is an unknown
+/// argument.
 #[test]
 fn bad_schedule_exits_2_with_usage_text() {
     let out = Command::new(bin())
-        .args(["sample.dat", "--support", "2", "--schedule", "fifo"])
+        .args(["sample.dat", "--support", "2", "--schedule", "dynamic"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown schedule"), "{stderr}");
+    assert!(stderr.contains("unknown argument \"--schedule\""), "{stderr}");
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 
@@ -162,10 +153,8 @@ fn bad_output_mode_exits_2_with_usage_text() {
 
 /// The engine's condensed modes agree with the post-hoc baseline path
 /// end to end, the legacy flags alias onto the engine (byte-identical
-/// commands), and each mode is byte-identical across the dynamic
-/// schedule's thread counts and set-identical under the static
-/// schedule. Top-k output is byte-identical everywhere (it drains in
-/// one deterministic sorted order).
+/// commands), and each mode is byte-identical across thread counts.
+/// Top-k output drains in one deterministic sorted order.
 #[test]
 fn output_modes_are_deterministic_across_schedules_and_threads() {
     let path = write_skewed();
@@ -203,14 +192,8 @@ fn output_modes_are_deterministic_across_schedules_and_threads() {
         assert_eq!(sorted(&seq), sorted(&oracle), "{mode} diverges from the post-hoc oracle");
 
         for threads in ["2", "4"] {
-            let par = run(&[&output, "--threads", threads, "--schedule=dynamic"]);
-            assert_eq!(par, seq, "{mode} dynamic x{threads} is not byte-identical");
-        }
-        let stat = run(&[&output, "--threads", "4", "--schedule=static"]);
-        if mode == "topk:25" {
-            assert_eq!(stat, seq, "top-k static must drain in the same order");
-        } else {
-            assert_eq!(sorted(&stat), sorted(&seq), "{mode} static x4 set diverged");
+            let par = run(&[&output, "--threads", threads]);
+            assert_eq!(par, seq, "{mode} x{threads} is not byte-identical");
         }
     }
 
@@ -440,6 +423,44 @@ fn profile_report_is_valid_and_complete() {
     std::fs::remove_file(&report_path).ok();
 }
 
+/// One worker and two run the same pipeline: both profiles enter the
+/// same phases — the count pass included — and only the mine phase's
+/// span count (one per worker) tells them apart.
+#[test]
+fn parallel_profile_records_the_same_phases_as_sequential() {
+    use cfp_trace::{json, Json};
+    let path = write_skewed();
+    let dir = std::env::temp_dir().join("cfp_cli_tests");
+    let entered = |threads: &str| {
+        let report_path = dir.join(format!("phases-{threads}.json"));
+        let out = Command::new(bin())
+            .args([path.to_str().unwrap(), "--support", "20", "--count", "--threads", threads])
+            .args(["--profile", report_path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let doc = json::parse(&std::fs::read_to_string(&report_path).unwrap()).unwrap();
+        std::fs::remove_file(&report_path).ok();
+        doc.get("phases")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter(|p| p.get("count").and_then(Json::as_u64).unwrap_or(0) > 0)
+            .map(|p| {
+                let name = p.get("name").and_then(Json::as_str).unwrap().to_string();
+                (name, p.get("count").and_then(Json::as_u64).unwrap())
+            })
+            .collect::<Vec<_>>()
+    };
+    let seq = entered("1");
+    let par = entered("2");
+    let names = |v: &[(String, u64)]| v.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&seq), ["read", "count", "build", "convert", "mine"], "{seq:?}");
+    assert_eq!(names(&par), names(&seq), "{par:?}");
+    assert!(par.iter().any(|(n, c)| n == "count" && *c == 1), "{par:?}");
+    assert!(par.iter().any(|(n, c)| n == "mine" && *c == 2), "one mine span per worker: {par:?}");
+}
+
 /// A deterministic skewed dataset (geometric-ish item frequencies): the
 /// head items appear in almost every row, the tail rarely. The cost
 /// imbalance across first-level items is what makes the dynamic scheduler
@@ -466,7 +487,7 @@ fn write_skewed() -> std::path::PathBuf {
             text.push('\n');
         }
     }
-    std::fs::write(&path, text).unwrap();
+    write_whole(&path, &text);
     path
 }
 

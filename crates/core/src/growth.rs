@@ -21,14 +21,14 @@
 //! degenerates into a single path short-circuits into direct subset
 //! enumeration.
 
+use crate::exec::{Exec, Source};
 use crate::spill::CondSpill;
 use cfp_array::{convert, CfpArray};
 use cfp_data::{
     CfpError, Item, ItemRecoder, ItemsetSink, MineStats, Miner, OutputMode, TransactionDb,
 };
 use cfp_memman::{Arena, ArenaOptions, BudgetPool, Component, MemoryBudget, StatsReset};
-use cfp_metrics::{HeapSize, MemGauge, Stopwatch};
-use cfp_trace::{span, Phase};
+use cfp_metrics::{HeapSize, MemGauge};
 use cfp_tree::{CfpTree, CfpTreeConfig};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -55,8 +55,8 @@ pub struct MineOpts {
     /// memory. Armed by the supervisor's spill rung; `None` keeps every
     /// conditional structure in RAM (classic behaviour).
     pub cond_spill: Option<CondSpill>,
-    /// Cooperative cancellation, polled between top-level items (and at
-    /// scheduler task boundaries in the parallel driver). When it fires,
+    /// Cooperative cancellation, polled before every first-level item
+    /// (and by every worker at its task boundaries). When it fires,
     /// mining stops at the next boundary with [`CfpError::Interrupted`];
     /// everything emitted so far sits at an exact item watermark.
     pub cancel: Option<cfp_fault::CancelToken>,
@@ -79,7 +79,8 @@ pub struct MineOpts {
 }
 
 impl MineOpts {
-    fn arena_options(&self, budget: Option<u64>, component: Component) -> ArenaOptions {
+    /// Arena options charging this run's pool, capped at `budget`.
+    pub(crate) fn arena_options(&self, budget: Option<u64>, component: Component) -> ArenaOptions {
         ArenaOptions {
             budget: budget.map(MemoryBudget::new),
             pool: self.pool.clone(),
@@ -204,7 +205,7 @@ impl TopKState {
     }
 }
 
-/// Per-run (or, in the parallel driver, per-task) runtime state of the
+/// Per-run (or, with several workers, per-task) runtime state of the
 /// active [`OutputMode`]. The closed/maximal indexes grow as itemsets
 /// are accepted; the top-k state is shared across all workers of a run.
 #[derive(Debug)]
@@ -228,23 +229,16 @@ enum ModeKind {
 }
 
 impl ModeCtx {
-    /// Fresh per-run state for `output`.
-    pub(crate) fn new(output: OutputMode) -> Self {
+    /// Fresh state for `output`; top-k joins the run's shared heap
+    /// `topk`, so every worker offers into one global heap.
+    pub(crate) fn new(output: OutputMode, topk: &Option<Arc<TopKState>>) -> Self {
         match output {
             OutputMode::All => ModeCtx::All,
             OutputMode::Closed => ModeCtx::Closed(SubsumeIndex::default()),
             OutputMode::Maximal => ModeCtx::Maximal(SubsumeIndex::default()),
-            OutputMode::TopK(k) => ModeCtx::TopK(Arc::new(TopKState::new(k))),
-        }
-    }
-
-    /// Like [`new`](Self::new), but top-k joins an existing shared
-    /// state — how parallel workers and spill partitions cooperate on
-    /// one global heap.
-    pub(crate) fn new_shared(output: OutputMode, topk: &Option<Arc<TopKState>>) -> Self {
-        match (output, topk) {
-            (OutputMode::TopK(_), Some(state)) => ModeCtx::TopK(Arc::clone(state)),
-            _ => ModeCtx::new(output),
+            OutputMode::TopK(_) => {
+                ModeCtx::TopK(Arc::clone(topk.as_ref().expect("a top-k run has one shared heap")))
+            }
         }
     }
 
@@ -256,24 +250,6 @@ impl ModeCtx {
             ModeCtx::TopK(_) => ModeKind::TopK,
         }
     }
-}
-
-/// Emits a finished top-k run's retained itemsets into `sink` (highest
-/// support first, ties lexicographic) and returns how many there were.
-/// No-op for every other mode.
-pub(crate) fn drain_topk(mode: &ModeCtx, sink: &mut dyn ItemsetSink) -> u64 {
-    let ModeCtx::TopK(state) = mode else {
-        return 0;
-    };
-    let winners = state.drain_sorted();
-    let n = winners.len() as u64;
-    for (set, support) in winners {
-        sink.emit(&set, support);
-        if cfp_trace::enabled() {
-            cfp_trace::counters::CORE_PATTERNS.inc();
-        }
-    }
-    n
 }
 
 /// RAII attribution of a flat CFP-array buffer to the run's budget pool.
@@ -334,36 +310,17 @@ fn charge_cond_array(
 
 /// Per-worker reusable mine-phase state.
 ///
-/// With `recycle` on, the first conditional tree's arena is kept after
-/// conversion, [`Arena::reset`] wipes it (releasing its budget-pool
-/// reservation), and the next conditional tree rebuilds inside it — so a
-/// worker touching thousands of first-level items performs one heap
-/// allocation ramp-up instead of one per item. Only one conditional tree
-/// is ever alive per worker (`conditional` drops it before the recursion
-/// continues), so a single slot suffices.
+/// The first conditional tree's arena is kept after conversion,
+/// [`Arena::reset`] wipes it (releasing its budget-pool reservation), and
+/// the next conditional tree rebuilds inside it — so a worker touching
+/// thousands of first-level items performs one heap allocation ramp-up
+/// instead of one per item. Only one conditional tree is ever alive per
+/// worker (`conditional` drops it before the recursion continues), so a
+/// single slot suffices.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// Recycle one long-lived arena across conditional trees.
-    pub recycle: bool,
-    /// The recycled arena (lazily captured from the first conditional
-    /// tree built while recycling is on).
-    pub arena: Option<Arena>,
-}
-
-impl Scratch {
-    /// Scratch state with arena recycling armed.
-    pub fn recycling() -> Self {
-        Scratch { recycle: true, arena: None }
-    }
-
-    /// Takes the recycled arena, if recycling is armed and one is stashed.
-    fn take_arena(&mut self) -> Option<Arena> {
-        if self.recycle {
-            self.arena.take()
-        } else {
-            None
-        }
-    }
+    /// The recycled arena (captured from the first conditional tree).
+    arena: Option<Arena>,
 }
 
 /// Rewrites the phase of a memory-exhaustion error to `"mine"`:
@@ -421,11 +378,7 @@ pub fn try_build_tree(
     try_build_tree_with(
         db,
         min_support,
-        ArenaOptions {
-            budget: budget.map(MemoryBudget::new),
-            component: Component::BuildTree,
-            ..Default::default()
-        },
+        MineOpts::default().arena_options(budget, Component::BuildTree),
     )
 }
 
@@ -441,12 +394,14 @@ pub fn try_build_tree_with(
     Ok((recoder, tree))
 }
 
-struct Ctx<'a> {
+/// The recursion state of one mining worker: where its itemsets go, its
+/// output-mode state, its recycled arena and the suffix being extended.
+pub(crate) struct Ctx<'a> {
     sink: &'a mut dyn ItemsetSink,
     gauge: MemGauge,
     min_support: u64,
     single_path_opt: bool,
-    opts: MineOpts,
+    opts: &'a MineOpts,
     scratch: &'a mut Scratch,
     mode: &'a mut ModeCtx,
     /// Suppress sink emission (and itemset counting) while re-mining
@@ -460,7 +415,49 @@ struct Ctx<'a> {
     itemsets: u64,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    /// Recursion state over an empty suffix. `gauge` accounts the
+    /// conditional structures this worker builds.
+    pub(crate) fn new(
+        sink: &'a mut dyn ItemsetSink,
+        gauge: MemGauge,
+        min_support: u64,
+        single_path_opt: bool,
+        opts: &'a MineOpts,
+        scratch: &'a mut Scratch,
+        mode: &'a mut ModeCtx,
+    ) -> Self {
+        Ctx {
+            sink,
+            gauge,
+            min_support,
+            single_path_opt,
+            opts,
+            scratch,
+            mode,
+            quiet: false,
+            suffix: Vec::new(),
+            emit_buf: Vec::new(),
+            path_buf: Vec::new(),
+            itemsets: 0,
+        }
+    }
+
+    /// The sink this worker emits into.
+    pub(crate) fn sink(&mut self) -> &mut dyn ItemsetSink {
+        &mut *self.sink
+    }
+
+    /// Silences (or re-enables) emission for the items that follow.
+    pub(crate) fn set_quiet(&mut self, quiet: bool) {
+        self.quiet = quiet;
+    }
+
+    /// Itemsets this worker has emitted so far.
+    pub(crate) fn itemsets(&self) -> u64 {
+        self.itemsets
+    }
+
     /// Sorts the current suffix into `emit_buf` — the candidate itemset
     /// in emission form.
     fn build_candidate(&mut self) {
@@ -552,280 +549,82 @@ impl CfpGrowthMiner {
         sink: &mut dyn ItemsetSink,
         opts: &MineOpts,
     ) -> Result<MineStats, CfpError> {
-        let mut stats = MineStats::default();
-        let gauge = MemGauge::new();
-        let mut sw = Stopwatch::start();
-
-        let recoder = {
-            let _s = span(Phase::Count);
-            ItemRecoder::scan(db, min_support)
-        };
-        stats.scan_time = sw.lap();
-
-        let tree = {
-            let _s = span(Phase::Build);
-            CfpTree::try_from_db_with(
-                db,
-                &recoder,
-                opts.arena_options(self.mem_budget, Component::BuildTree),
-            )?
-        };
-        stats.build_time = sw.lap();
-
-        self.convert_and_mine(&recoder, tree, min_support, sink, stats, gauge, sw, opts)
+        self.exec(opts).run(Source::Db(db), min_support, sink)
     }
-    /// The common back half of a run: conversion, recursive mining, and
-    /// bookkeeping. Shared by [`Miner::mine`] and the streaming
-    /// [`mine_file`](crate::io::mine_file) pipeline.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn convert_and_mine(
-        &self,
-        recoder: &ItemRecoder,
-        tree: CfpTree,
-        min_support: u64,
-        sink: &mut dyn ItemsetSink,
-        mut stats: MineStats,
-        gauge: MemGauge,
-        mut sw: Stopwatch,
-        opts: &MineOpts,
-    ) -> Result<MineStats, CfpError> {
-        gauge.alloc(tree.heap_bytes());
-        gauge.checkpoint();
-        stats.tree_nodes = tree.num_nodes();
 
-        // Tree and array coexist during conversion: that is the build-phase
-        // memory peak of CFP-growth (§3.5).
-        let array = {
-            let _s = span(Phase::Convert);
-            convert(&tree)
-        };
-        gauge.alloc(array.heap_bytes());
-        let _array_charge = ArrayCharge::new(opts.pool.clone(), array.heap_bytes());
-        gauge.checkpoint();
-        gauge.free(tree.heap_bytes());
-        drop(tree);
-        stats.convert_time = sw.lap();
-
-        let globals: Vec<Item> =
-            (0..recoder.num_items() as u32).map(|i| recoder.original(i)).collect();
-        if cfp_trace::enabled() {
-            cfp_trace::counters::CORE_FIRST_LEVEL_ITEMS.record(globals.len() as u64);
+    /// The one-worker executor this miner's options describe.
+    pub(crate) fn exec(&self, opts: &MineOpts) -> Exec {
+        Exec {
+            workers: 1,
+            single_path_opt: self.single_path_opt,
+            tree_budget: self.mem_budget,
+            worker_timeout: None,
+            opts: opts.clone(),
         }
-        let mut scratch = Scratch::default();
-        let mut mode = ModeCtx::new(opts.output);
-        let itemsets = {
-            let mut ctx = Ctx {
-                sink,
-                gauge: gauge.clone(),
-                min_support,
-                single_path_opt: self.single_path_opt,
-                opts: opts.clone(),
-                scratch: &mut scratch,
-                mode: &mut mode,
-                quiet: false,
-                suffix: Vec::new(),
-                emit_buf: Vec::new(),
-                path_buf: Vec::new(),
-                itemsets: 0,
-            };
-            let _s = span(Phase::Mine);
-            mine_array(&array, &globals, &mut ctx)?;
-            ctx.itemsets
-        };
-        // A top-k run emits nothing while mining; the retained winners
-        // reach the sink here, sorted, once the bound is final.
-        let itemsets = itemsets + drain_topk(&mode, sink);
-        stats.mine_time = sw.lap();
-
-        gauge.free(array.heap_bytes());
-        stats.itemsets = itemsets;
-        stats.peak_bytes = gauge.peak();
-        stats.avg_bytes = gauge.average();
-        Ok(stats)
     }
 }
 
-/// If the whole `array` is one single path, enumerates it directly into
-/// `sink` exactly as the sequential miner's shortcut would, returning
-/// the itemset count; returns `None` when the array branches. The
-/// parallel driver checks this before decomposing per item, because the
-/// per-item decomposition groups output by first-level item while the
-/// sequential shortcut groups by path depth — without this check the
-/// two orders diverge on degenerate (single-path) inputs.
-pub(crate) fn mine_single_path_root(
-    array: &CfpArray,
-    globals: &[Item],
-    min_support: u64,
-    sink: &mut dyn ItemsetSink,
-    opts: &MineOpts,
-    mode: &mut ModeCtx,
-) -> Option<u64> {
-    let path = single_path(array)?;
+/// If the whole `array` is one single path, enumerates it into the
+/// context's sink exactly as the recursion's shortcut would and returns
+/// `true`; returns `false` when the array branches.
+pub(crate) fn mine_single_path(array: &CfpArray, globals: &[Item], ctx: &mut Ctx<'_>) -> bool {
+    let Some(path) = single_path(array) else {
+        return false;
+    };
     if cfp_trace::enabled() {
         cfp_trace::span::single_path();
     }
-    let mut scratch = Scratch::default();
-    let mut ctx = Ctx {
-        sink,
-        gauge: MemGauge::new(),
-        min_support,
-        single_path_opt: true,
-        opts: opts.clone(),
-        scratch: &mut scratch,
-        mode,
-        quiet: false,
-        suffix: Vec::new(),
-        emit_buf: Vec::new(),
-        path_buf: Vec::new(),
-        itemsets: 0,
-    };
-    enumerate_single_path(&path, globals, &mut ctx);
-    Some(ctx.itemsets)
+    enumerate_single_path(&path, globals, ctx);
+    true
 }
 
-/// Sequentially mines a pre-built top-level CFP-array — the spill rung's
-/// entry point for arrays loaded back from disk, where no tree or
-/// database exists anymore. Behaves exactly like the mine phase of
-/// [`CfpGrowthMiner::try_mine_with`] on the same array and returns the
-/// number of itemsets emitted.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mine_loaded(
-    array: &CfpArray,
-    globals: &[Item],
-    min_support: u64,
-    single_path_opt: bool,
-    sink: &mut dyn ItemsetSink,
-    opts: &MineOpts,
-    mode: &mut ModeCtx,
-) -> Result<u64, CfpError> {
-    let _s = span(Phase::Mine);
-    let mut scratch = Scratch::default();
-    let mut ctx = Ctx {
-        sink,
-        gauge: MemGauge::new(),
-        min_support,
-        single_path_opt,
-        opts: opts.clone(),
-        scratch: &mut scratch,
-        mode,
-        quiet: false,
-        suffix: Vec::new(),
-        emit_buf: Vec::new(),
-        path_buf: Vec::new(),
-        itemsets: 0,
-    };
-    mine_array(array, globals, &mut ctx)?;
-    Ok(ctx.itemsets)
-}
-
-/// Mines the complete subtree of one first-level item: emits `{item}`
-/// and recurses through its conditional structures. Returns the number of
-/// itemsets emitted and the peak bytes of the conditional structures.
-/// This is the unit of work the parallel driver distributes (each
-/// first-level item is independent of the others). `scratch` carries the
-/// worker's recycled arena between calls.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mine_one_item(
+/// Mines the complete subtree of first-level item `item`: emits `{item}`
+/// and recurses through its conditional structures. This is the unit of
+/// work the executor's first-level loop hands to a worker; each
+/// first-level item is independent of the others.
+pub(crate) fn mine_item(
     array: &CfpArray,
     item: u32,
     globals: &[Item],
-    min_support: u64,
-    single_path_opt: bool,
-    sink: &mut dyn ItemsetSink,
-    opts: &MineOpts,
-    scratch: &mut Scratch,
-    mode: &mut ModeCtx,
-) -> Result<(u64, u64), CfpError> {
-    let gauge = MemGauge::new();
-    let mut ctx = Ctx {
-        sink,
-        gauge: gauge.clone(),
-        min_support,
-        single_path_opt,
-        opts: opts.clone(),
-        scratch,
-        mode,
-        quiet: false,
-        suffix: Vec::new(),
-        emit_buf: Vec::new(),
-        path_buf: Vec::new(),
-        itemsets: 0,
-    };
+    ctx: &mut Ctx<'_>,
+) -> Result<(), CfpError> {
     let task_t0 = cfp_trace::hist::maybe_now();
-    ctx.suffix.push(globals[item as usize]);
-    mine_node(array, item, globals, array.item_support(item), &mut ctx)?;
-    ctx.suffix.pop();
+    if !mine_suffix(array, item, globals, ctx)? {
+        return Ok(());
+    }
     cfp_trace::hist::record_since(&cfp_trace::hist::CORE_MINE_TASK_NANOS, task_t0);
-    if cfp_trace::enabled() {
+    if !ctx.quiet && cfp_trace::enabled() {
         cfp_trace::counters::CORE_ITEMS_MINED.inc();
     }
-    Ok((ctx.itemsets, gauge.peak()))
+    Ok(())
 }
 
-/// Mines every frequent itemset of `array` combined with the suffix in
-/// `ctx`; `globals` maps local ids to original items.
-fn mine_array(array: &CfpArray, globals: &[Item], ctx: &mut Ctx<'_>) -> Result<(), CfpError> {
-    if ctx.single_path_opt {
-        if let Some(path) = single_path(array) {
-            if cfp_trace::enabled() {
-                cfp_trace::span::single_path();
-            }
-            enumerate_single_path(&path, globals, ctx);
-            return Ok(());
-        }
+/// Extends the suffix by `item` and mines that node; returns `false`
+/// when `item` is not frequent in `array`.
+fn mine_suffix(
+    array: &CfpArray,
+    item: u32,
+    globals: &[Item],
+    ctx: &mut Ctx<'_>,
+) -> Result<bool, CfpError> {
+    let support = array.item_support(item);
+    if support < ctx.min_support {
+        return Ok(false);
     }
-    let n = array.num_items() as u32;
-    // Only the outermost loop (empty suffix) walks first-level items —
-    // those are the resumable units: cancellation is polled, completed
-    // prefixes from a previous run are skipped, and progress is reported
-    // per completed item. Recursive calls arrive with a non-empty suffix
-    // and none of that applies.
-    let top = ctx.suffix.is_empty();
-    for item in (0..n).rev() {
-        let mut quiet_item = false;
-        if top {
-            if (item as u64) + ctx.opts.resume_skip >= n as u64 {
-                // Emitted by the run being resumed. The condensed modes
-                // re-mine it silently, because the subsumption index
-                // must hold its accepted itemsets for later checks;
-                // everything else skips outright.
-                if !ctx.opts.output.is_condensed() {
-                    continue;
-                }
-                quiet_item = true;
-            }
-            if let Some(cancel) = &ctx.opts.cancel {
-                if cancel.is_cancelled() {
-                    return Err(CfpError::Interrupted);
-                }
-            }
-        }
-        let support = array.item_support(item);
-        if support < ctx.min_support {
-            continue;
-        }
-        let was_quiet = ctx.quiet;
-        ctx.quiet = ctx.quiet || quiet_item;
-        let task_t0 = if top { cfp_trace::hist::maybe_now() } else { None };
-        ctx.suffix.push(globals[item as usize]);
-        let node = mine_node(array, item, globals, support, ctx);
-        ctx.suffix.pop();
-        ctx.quiet = was_quiet;
-        node?;
-        cfp_trace::hist::record_since(&cfp_trace::hist::CORE_MINE_TASK_NANOS, task_t0);
-        if top && !quiet_item {
-            if cfp_trace::enabled() {
-                cfp_trace::counters::CORE_ITEMS_MINED.inc();
-            }
-            // Every itemset of items n-1 … item is now in the sink; the
-            // output sits at an exact watermark of n-item completed
-            // top-level items (counting ones skipped on resume).
-            let emit_t0 = cfp_trace::hist::maybe_now();
-            let emitted =
-                ctx.sink.progress(cfp_data::MineProgress::Items { done: (n - item) as u64 });
-            cfp_trace::hist::record_since(&cfp_trace::hist::CORE_EMIT_NANOS, emit_t0);
-            emitted?;
-        }
+    ctx.suffix.push(globals[item as usize]);
+    let node = mine_node(array, item, globals, support, ctx);
+    ctx.suffix.pop();
+    node.map(|()| true)
+}
+
+/// Mines every frequent itemset of a conditional `array` combined with
+/// the suffix in `ctx`; `globals` maps local ids to original items.
+fn mine_array(array: &CfpArray, globals: &[Item], ctx: &mut Ctx<'_>) -> Result<(), CfpError> {
+    if ctx.single_path_opt && mine_single_path(array, globals, ctx) {
+        return Ok(());
+    }
+    for item in (0..array.num_items() as u32).rev() {
+        mine_suffix(array, item, globals, ctx)?;
     }
     Ok(())
 }
@@ -1023,9 +822,9 @@ fn conditional(
     // Pass B: insert the filtered weighted paths into a conditional tree.
     // Conditional arenas share the run's budget pool (when one is set) and
     // may compact-and-retry; exhaustion surfaces with the "mine" phase.
-    // A worker with recycling armed rebuilds inside its long-lived arena
-    // instead of allocating a fresh one per conditional tree.
-    let mut cond_tree = match ctx.scratch.take_arena() {
+    // The worker rebuilds inside its long-lived arena instead of
+    // allocating a fresh one per conditional tree.
+    let mut cond_tree = match ctx.scratch.arena.take() {
         Some(arena) => CfpTree::try_with_arena(cond_globals.len(), CfpTreeConfig::default(), arena),
         None => CfpTree::try_with_options(
             cond_globals.len(),
@@ -1057,15 +856,12 @@ fn conditional(
     ctx.gauge.alloc(cond_tree.heap_bytes());
     let cond_array = convert(&cond_tree);
     ctx.gauge.free(cond_tree.heap_bytes());
-    if ctx.scratch.recycle {
-        let mut arena = cond_tree.into_arena();
-        // ClearPeaks: each task gets a fresh per-instance high-water
-        // window, so one early giant conditional tree cannot smear its
-        // peak across every later task (the run-level peak stays in the
-        // budget pool).
-        arena.reset_with(StatsReset::ClearPeaks);
-        ctx.scratch.arena = Some(arena);
-    }
+    let mut arena = cond_tree.into_arena();
+    // ClearPeaks: each task gets a fresh per-instance high-water window,
+    // so one early giant conditional tree cannot smear its peak across
+    // every later task (the run-level peak stays in the budget pool).
+    arena.reset_with(StatsReset::ClearPeaks);
+    ctx.scratch.arena = Some(arena);
     // Out-of-core hook: an oversized conditional array round-trips
     // through a spill file and comes back as a shared view, so its data
     // block leaves pool-metered memory. The checksum on the file proves
@@ -1081,7 +877,7 @@ fn conditional(
 /// If the array represents a single downward path (every item has exactly
 /// one node, chained by parent links), returns its `(item, count)` pairs
 /// from the top.
-fn single_path(array: &CfpArray) -> Option<Vec<(u32, u64)>> {
+pub(crate) fn single_path(array: &CfpArray) -> Option<Vec<(u32, u64)>> {
     let n = array.num_items() as u32;
     let mut path = Vec::with_capacity(n as usize);
     let mut expected_parent: Option<u32> = None;
@@ -1411,18 +1207,11 @@ mod tests {
         };
         let mut sink = CountingSink::new();
         let last = recoder.num_items() as u32 - 1;
-        let err = mine_one_item(
-            &array,
-            last,
-            &globals,
-            1,
-            false,
-            &mut sink,
-            &opts,
-            &mut Scratch::default(),
-            &mut ModeCtx::All,
-        )
-        .expect_err("a 4-byte pool cannot hold a conditional tree root");
+        let (mut scratch, mut mode) = (Scratch::default(), ModeCtx::All);
+        let mut ctx =
+            Ctx::new(&mut sink, MemGauge::new(), 1, false, &opts, &mut scratch, &mut mode);
+        let err = mine_item(&array, last, &globals, &mut ctx)
+            .expect_err("a 4-byte pool cannot hold a conditional tree root");
         assert_eq!(err.exit_code(), 4);
         assert!(err.to_string().contains("mine"), "{err}");
     }

@@ -9,14 +9,15 @@
 //! data, mine many times with different sinks or support levels (any
 //! support ≥ the build support is valid: items below it are simply absent).
 
-use crate::growth::{mine_one_item, CfpGrowthMiner};
-use cfp_array::{convert, CfpArray};
-use cfp_data::{Item, ItemRecoder, ItemsetSink, MineStats, TransactionDb};
+use crate::exec::{prepare, Exec, Prepared, Source};
+use crate::growth::{ArrayCharge, MineOpts};
+use cfp_array::CfpArray;
+use cfp_data::{Item, ItemsetSink, MineStats, TransactionDb};
 use cfp_encoding::varint;
-use cfp_metrics::{HeapSize, Stopwatch};
-use cfp_tree::CfpTree;
+use cfp_memman::Component;
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"CFPI";
 const VERSION: u8 = 1;
@@ -24,9 +25,9 @@ const VERSION: u8 = 1;
 /// A converted, ready-to-mine CFP-array with its item mapping.
 #[derive(Clone, Debug)]
 pub struct MiningImage {
-    array: CfpArray,
+    array: Arc<CfpArray>,
     /// Recoded id -> original item id.
-    globals: Vec<Item>,
+    globals: Arc<[Item]>,
     /// Minimum support the image was built with.
     min_support: u64,
 }
@@ -34,11 +35,10 @@ pub struct MiningImage {
 impl MiningImage {
     /// Builds an image from a database (scan + build + convert).
     pub fn build(db: &TransactionDb, min_support: u64) -> Self {
-        let recoder = ItemRecoder::scan(db, min_support);
-        let tree = CfpTree::from_db(db, &recoder);
-        let array = convert(&tree);
-        let globals = (0..recoder.num_items() as u32).map(|i| recoder.original(i)).collect();
-        MiningImage { array, globals, min_support }
+        let arena = MineOpts::default().arena_options(None, Component::BuildTree);
+        let prepared = prepare(Source::Db(db), min_support, arena, &mut MineStats::default())
+            .unwrap_or_else(|e| panic!("{e}"));
+        MiningImage { array: prepared.array, globals: prepared.globals, min_support }
     }
 
     /// The compressed array.
@@ -64,38 +64,14 @@ impl MiningImage {
             "image was built at support {}, cannot mine at {min_support}",
             self.min_support
         );
-        let mut stats = MineStats::default();
-        let mut sw = Stopwatch::start();
-        let opt = CfpGrowthMiner::new().single_path_opt;
-        let mut peak = 0u64;
-        // One recycled arena across all first-level items: image mining is
-        // sequential, so the same recycling the dynamic scheduler's
-        // workers use applies directly.
-        let mut scratch = crate::growth::Scratch::recycling();
-        let mut mode = crate::growth::ModeCtx::All;
-        for item in (0..self.globals.len() as u32).rev() {
-            if self.array.item_support(item) < min_support {
-                continue;
-            }
-            let (n, p) = mine_one_item(
-                &self.array,
-                item,
-                &self.globals,
-                min_support,
-                opt,
-                sink,
-                &crate::growth::MineOpts::default(),
-                &mut scratch,
-                &mut mode,
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
-            stats.itemsets += n;
-            peak = peak.max(p);
-        }
-        stats.mine_time = sw.lap();
-        stats.peak_bytes = self.array.heap_bytes() + peak;
-        stats.tree_nodes = self.array.num_nodes();
-        stats
+        let exec = Exec { workers: 1, single_path_opt: true, ..Exec::default() };
+        let prepared = Prepared::new(
+            Arc::clone(&self.array),
+            Arc::clone(&self.globals),
+            ArrayCharge::new(None, 0),
+        );
+        let stats = MineStats { tree_nodes: self.array.num_nodes(), ..MineStats::default() };
+        exec.mine(prepared, min_support, sink, stats).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Serializes the image (`CFPI` header, then item mapping, then the
@@ -108,7 +84,7 @@ impl MiningImage {
         w.write_all(&buf[..n])?;
         let n = varint::write_u64_into(&mut buf, self.globals.len() as u64);
         w.write_all(&buf[..n])?;
-        for &g in &self.globals {
+        for &g in self.globals.iter() {
             let n = varint::write_u64_into(&mut buf, g as u64);
             w.write_all(&buf[..n])?;
         }
@@ -144,7 +120,7 @@ impl MiningImage {
                 "item mapping disagrees with array",
             ));
         }
-        Ok(MiningImage { array, globals, min_support })
+        Ok(MiningImage { array: Arc::new(array), globals: globals.into(), min_support })
     }
 
     /// Convenience: save to a file.
@@ -178,6 +154,7 @@ fn read_varint(r: &mut impl Read) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CfpGrowthMiner;
     use cfp_data::miner::{CollectSink, Miner};
 
     fn sample_db() -> TransactionDb {

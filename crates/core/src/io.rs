@@ -9,18 +9,15 @@
 //! 2. **pass 2** over the file, recoding each transaction and inserting
 //!    it into the CFP-tree,
 //!
-//! then hands off to the in-memory conversion and mine phases. Peak memory
+//! then hands off to the in-memory conversion and mine phases — the same
+//! executor every other CFP-growth driver runs through. Peak memory
 //! therefore contains the compressed structures plus two fixed-size input
 //! buffers — never the raw data, which is how the paper can process 26 GB
 //! inputs on a 6 GB machine.
 
-use crate::growth::CfpGrowthMiner;
-use cfp_data::count::count_transaction;
-use cfp_data::double_buffer::DoubleBufferedReader;
-use cfp_data::{ItemRecoder, ItemsetSink, MineStats};
-use cfp_metrics::{MemGauge, Stopwatch};
-use cfp_tree::CfpTree;
-use std::fs::File;
+use crate::exec::Source;
+use crate::growth::{CfpGrowthMiner, MineOpts};
+use cfp_data::{ItemsetSink, MineStats};
 use std::io;
 use std::path::Path;
 
@@ -31,42 +28,8 @@ pub fn mine_file(
     min_support: u64,
     sink: &mut dyn ItemsetSink,
 ) -> io::Result<MineStats> {
-    let path = path.as_ref();
-    let mut stats = MineStats::default();
-    let gauge = MemGauge::new();
-    let mut sw = Stopwatch::start();
-
-    // Pass 1: stream the file through the double-buffered reader and
-    // count item supports.
-    let mut counts: Vec<u64> = Vec::new();
-    DoubleBufferedReader::new(File::open(path)?).for_each_transaction(|t| {
-        count_transaction(t, &mut counts);
-    })?;
-    let recoder = ItemRecoder::from_supports(&counts, min_support);
-    drop(counts);
-    stats.scan_time = sw.lap();
-
-    // Pass 2: stream again, building the CFP-tree.
-    let mut tree = CfpTree::new(recoder.num_items());
-    let mut buf = Vec::new();
-    DoubleBufferedReader::new(File::open(path)?).for_each_transaction(|t| {
-        recoder.recode_transaction(t, &mut buf);
-        tree.insert(&buf, 1);
-    })?;
-    stats.build_time = sw.lap();
-
-    miner
-        .convert_and_mine(
-            &recoder,
-            tree,
-            min_support,
-            sink,
-            stats,
-            gauge,
-            sw,
-            &crate::growth::MineOpts::default(),
-        )
-        .map_err(io::Error::from)
+    let exec = miner.exec(&MineOpts::default());
+    exec.run(Source::File(path.as_ref()), min_support, sink).map_err(io::Error::from)
 }
 
 #[cfg(test)]

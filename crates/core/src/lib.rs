@@ -38,12 +38,13 @@
 #![warn(missing_docs)]
 
 pub mod ckpt;
+mod exec;
 pub mod growth;
 pub mod image;
 pub mod io;
 pub mod memstat;
 pub mod parallel;
-pub mod schedule;
+mod schedule;
 pub mod spill;
 pub mod supervisor;
 
@@ -57,6 +58,5 @@ pub use image::MiningImage;
 pub use io::mine_file;
 pub use memstat::{collect_memstat, FpBaselineBytes, MemStatRun};
 pub use parallel::ParallelCfpGrowthMiner;
-pub use schedule::Schedule;
 pub use spill::CondSpill;
 pub use supervisor::{RecoveryPolicy, RecoveryReport, RungReport, Supervisor};

@@ -7,23 +7,17 @@
 //! on exactly this independence; here we exploit it with worker threads
 //! over one shared, immutable initial [`CfpArray`](cfp_array::CfpArray).
 //!
-//! The scan, build, and conversion phases stay sequential (they are a
-//! small fraction of the runtime at low support). How first-level items
-//! reach the workers is governed by [`Schedule`]:
+//! The count, build, and conversion phases stay sequential (they are a
+//! small fraction of the runtime at low support). Workers claim
+//! cost-sorted first-level items from a shared queue — heavy items
+//! singly, the cheap tail in chunks — so a worker stuck on a deep
+//! conditional recursion never strands unclaimed work; each recycles one
+//! arena across its conditional trees, and the caller emits the
+//! per-item results in descending item order, so the output stream is
+//! byte-for-byte identical to sequential mining. The run itself is the
+//! shared executor's (`crate::exec`); this type only configures it.
 //!
-//! - **`Schedule::Dynamic`** (default): workers claim cost-sorted item
-//!   tasks from a shared [`TaskQueue`] — heavy items singly, the cheap
-//!   tail in chunks — so a worker stuck on a deep conditional recursion
-//!   never strands unclaimed work. Each worker keeps one long-lived
-//!   arena recycled across its conditional trees
-//!   ([`cfp_memman::Arena::reset`]), and buffers each task's itemsets so
-//!   the collector can emit them in descending item order: the output
-//!   stream is byte-for-byte identical to sequential mining.
-//! - **`Schedule::Static`**: the pre-scheduler behaviour — items dealt
-//!   round-robin up front, result batches streamed in nondeterministic
-//!   order. Kept as the baseline the skew benchmark compares against.
-//!
-//! Two robustness mechanisms live here:
+//! Two robustness mechanisms apply:
 //!
 //! - **One budget, many arenas.** `mem_budget` is enforced by a single
 //!   shared [`BudgetPool`] charged by the initial tree *and* every
@@ -34,35 +28,23 @@
 //!   heartbeat counter per claimed task; if no result arrives and no
 //!   unfinished worker's heartbeat advances for the full timeout, the
 //!   run is poisoned and fails with [`CfpError::WorkerTimeout`] instead
-//!   of hanging forever. Threads are spawned (not scoped) over
-//!   `Arc`-shared structures so a truly wedged worker can be abandoned.
+//!   of hanging forever.
 //!
 //! `peak_bytes` is an upper-bound estimate: the shared structures plus
 //! the sum of the workers' conditional-structure peaks (as if all workers
 //! hit their individual peaks simultaneously).
 
-use crate::growth::{
-    drain_topk, mine_one_item, mine_single_path_root, try_build_tree_with, ArrayCharge,
-    CfpGrowthMiner, MineOpts, ModeCtx, Scratch, SubsumeIndex, TopKState,
-};
-use crate::schedule::{Schedule, TaskQueue};
-use cfp_array::convert;
-use cfp_data::{CfpError, Item, ItemsetSink, MineStats, Miner, OutputMode, TransactionDb};
-use cfp_memman::{ArenaOptions, BudgetPool, Component};
-use cfp_metrics::{HeapSize, Stopwatch};
-use cfp_trace::{span, Phase};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use crate::exec::{Exec, Source};
+use crate::growth::MineOpts;
+use cfp_data::{CfpError, ItemsetSink, MineStats, Miner, OutputMode, TransactionDb};
+use cfp_memman::BudgetPool;
 use std::time::Duration;
 
 /// Multi-threaded CFP-growth over a shared initial CFP-array.
 #[derive(Clone, Debug)]
 pub struct ParallelCfpGrowthMiner {
-    /// Number of worker threads (0 or 1 falls back to sequential).
+    /// Number of worker threads (0 or 1 mines on the caller's thread).
     pub threads: usize,
-    /// Enumerate single-path structures directly instead of recursing.
-    pub single_path_opt: bool,
     /// Byte cap on the whole run, enforced by one [`BudgetPool`] shared
     /// between the initial tree's arena and every worker's conditional
     /// trees. Exceeding it surfaces as [`CfpError::MemoryExhausted`]
@@ -70,7 +52,7 @@ pub struct ParallelCfpGrowthMiner {
     /// [`Miner::mine`]).
     pub mem_budget: Option<u64>,
     /// Pre-built pool to charge instead of a fresh one from
-    /// `mem_budget`; lets the run supervisor read the pool's peak and
+    /// `mem_budget`; lets the caller read the pool's peak and
     /// compaction gauges after the run.
     pub pool: Option<BudgetPool>,
     /// Watchdog limit: fail with [`CfpError::WorkerTimeout`] when no
@@ -78,236 +60,39 @@ pub struct ParallelCfpGrowthMiner {
     pub worker_timeout: Option<Duration>,
     /// Compact arenas and retry once before reporting exhaustion.
     pub compact_on_pressure: bool,
-    /// How first-level items are distributed to workers.
-    pub schedule: Schedule,
-    /// Cooperative cancellation, polled by every worker at task
-    /// boundaries (next to the poison check). When it fires the run
-    /// stops claiming, drains the contiguous emitted prefix, and returns
-    /// [`CfpError::Interrupted`] if any item remains unmined.
+    /// Cooperative cancellation, polled before every first-level item
+    /// and by every worker at task boundaries. When it fires the run
+    /// stops claiming, the emitted stream stops at an exact item
+    /// watermark, and [`CfpError::Interrupted`] comes back if any item
+    /// remains unmined.
     pub cancel: Option<cfp_fault::CancelToken>,
     /// Resume support: the `resume_skip` highest first-level items were
-    /// fully emitted by a previous run. They are excluded from the task
-    /// queue and the ordered emitter starts below them, so this run's
-    /// output continues byte-exactly where the previous one stopped.
-    /// In condensed modes the skipped items are still scheduled (their
-    /// itemsets seed the reconcile index) but reconciled silently.
+    /// fully emitted by a previous run. They are not mined again and the
+    /// output starts below them, so this run continues byte-exactly
+    /// where the previous one stopped. In condensed modes the skipped
+    /// items are still mined (their itemsets seed the reconcile index)
+    /// but emitted silently.
     pub resume_skip: u64,
     /// What the run emits: every frequent itemset, only closed or
     /// maximal ones, or the top-k by support. Condensed modes mine with
-    /// per-task local state and reconcile at the ordered emitter, so the
-    /// output stream stays byte-identical to sequential for every thread
-    /// count and schedule.
+    /// per-task local state and reconcile in item order, so the output
+    /// stream stays byte-identical to sequential for every thread count.
     pub output: OutputMode,
 }
 
 impl ParallelCfpGrowthMiner {
-    /// A parallel miner with the given worker count and the default
-    /// dynamic schedule.
+    /// A parallel miner with the given worker count.
     pub fn new(threads: usize) -> Self {
         ParallelCfpGrowthMiner {
             threads,
-            single_path_opt: true,
             mem_budget: None,
             pool: None,
             worker_timeout: None,
             compact_on_pressure: false,
-            schedule: Schedule::default(),
             cancel: None,
             resume_skip: 0,
             output: OutputMode::default(),
         }
-    }
-
-    fn effective_pool(&self) -> Option<BudgetPool> {
-        self.pool.clone().or_else(|| self.mem_budget.map(BudgetPool::new))
-    }
-}
-
-/// Channel tag marking a batch as order-free streaming output (static
-/// schedule). Item-tagged batches use the item id itself, which is always
-/// a dense recoded id well below this sentinel.
-const STREAM: u32 = u32::MAX;
-
-/// One result batch: `(itemset, support)` pairs in emission order.
-type Batch = Vec<(Vec<Item>, u64)>;
-
-/// Batches itemsets into a channel (per worker, static schedule).
-struct BatchSink {
-    tx: mpsc::Sender<(u32, Batch)>,
-    buf: Vec<(Vec<Item>, u64)>,
-}
-
-const BATCH: usize = 1024;
-
-impl BatchSink {
-    /// Sends the buffered batch; `false` means the receiver is gone (the
-    /// caller panicked or bailed) and the batch was dropped.
-    fn flush(&mut self) -> bool {
-        if self.buf.is_empty() {
-            return true;
-        }
-        self.tx.send((STREAM, std::mem::take(&mut self.buf))).is_ok()
-    }
-}
-
-impl ItemsetSink for BatchSink {
-    fn emit(&mut self, itemset: &[Item], support: u64) {
-        self.buf.push((itemset.to_vec(), support));
-        if self.buf.len() >= BATCH {
-            self.flush();
-        }
-    }
-}
-
-/// Buffers one task's itemsets in emission order (dynamic schedule).
-#[derive(Default)]
-struct TaskSink {
-    buf: Vec<(Vec<Item>, u64)>,
-}
-
-impl ItemsetSink for TaskSink {
-    fn emit(&mut self, itemset: &[Item], support: u64) {
-        self.buf.push((itemset.to_vec(), support));
-    }
-}
-
-/// Global condensed-mode reconciliation carried by the ordered emitter.
-///
-/// Workers mine with *local* subsumption indexes, which can never reject
-/// a true closed/maximal itemset (a local subsumer is itself accepted, so
-/// subsumption is transitive) but can accept candidates whose subsumer
-/// lives in another task's subtree. Replaying the per-item batches in
-/// descending item order — the exact sequential emission order — against
-/// one global index removes those false accepts: any subsumer has a top
-/// item ≥ the candidate's, so it is replayed (and indexed) no later than
-/// the candidate itself.
-struct Reconcile {
-    index: SubsumeIndex,
-    /// Closed mode: subsumption only counts at equal support.
-    closed: bool,
-}
-
-/// Forwards worker batches to the caller's sink.
-///
-/// Item-tagged batches (dynamic schedule, and every schedule in condensed
-/// modes) are held until every batch for a higher item id has been
-/// emitted, reproducing the sequential `for item in (0..n).rev()`
-/// emission order exactly; [`STREAM`]-tagged batches (static schedule,
-/// `all` output) pass straight through.
-struct OrderedEmitter<'a> {
-    sink: &'a mut dyn ItemsetSink,
-    /// Buffered batches by item id, drained from `next` downwards.
-    pending: Vec<Option<Batch>>,
-    /// Highest item id not yet emitted.
-    next: i64,
-    /// All first-level items, counting ones skipped on resume — progress
-    /// notifications report *global* completed counts.
-    total: u32,
-    /// Tags at or above this were emitted by the run being resumed: they
-    /// replay into the reconcile index but reach neither the sink nor
-    /// the progress hook.
-    live_below: u32,
-    reconcile: Option<Reconcile>,
-    emitted: u64,
-}
-
-impl<'a> OrderedEmitter<'a> {
-    /// Replays tags `sched_max-1 … 0` in order, emitting only tags below
-    /// `live_below`; on a resume, `live_below` sits below `total`
-    /// because the higher items are already out (condensed modes still
-    /// schedule them, so `sched_max` stays at `total` there).
-    fn new(
-        sink: &'a mut dyn ItemsetSink,
-        total: u32,
-        sched_max: u32,
-        live_below: u32,
-        output: OutputMode,
-    ) -> Self {
-        let reconcile = match output {
-            OutputMode::Closed => Some(Reconcile { index: SubsumeIndex::default(), closed: true }),
-            OutputMode::Maximal => {
-                Some(Reconcile { index: SubsumeIndex::default(), closed: false })
-            }
-            OutputMode::All | OutputMode::TopK(_) => None,
-        };
-        OrderedEmitter {
-            sink,
-            pending: (0..sched_max).map(|_| None).collect(),
-            next: sched_max as i64 - 1,
-            total,
-            live_below,
-            reconcile,
-            emitted: 0,
-        }
-    }
-
-    /// `true` while item-tagged batches are still owed (dynamic
-    /// schedule) — the emitted stream is a strict prefix of the run.
-    fn unfinished(&self) -> bool {
-        self.next >= 0
-    }
-
-    /// Emits a batch; in condensed modes each candidate is first checked
-    /// against (then inserted into) the global reconcile index, and only
-    /// `live` tags reach the sink — resumed tags replay silently.
-    fn emit_batch(&mut self, batch: Batch, live: bool) {
-        match &mut self.reconcile {
-            None => {
-                for (itemset, support) in batch {
-                    self.sink.emit(&itemset, support);
-                    self.emitted += 1;
-                }
-            }
-            Some(rec) => {
-                for (itemset, support) in batch {
-                    let want = if rec.closed { Some(support) } else { None };
-                    if rec.index.subsumes(&itemset, want) {
-                        if cfp_trace::enabled() {
-                            if rec.closed {
-                                cfp_trace::counters::CORE_CLOSED_PRUNED.inc();
-                            } else {
-                                cfp_trace::counters::CORE_MAXIMAL_PRUNED.inc();
-                            }
-                        }
-                        continue;
-                    }
-                    rec.index.insert(&itemset, support);
-                    if live {
-                        self.sink.emit(&itemset, support);
-                        self.emitted += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    fn handle(&mut self, tag: u32, batch: Batch) -> Result<(), CfpError> {
-        if tag == STREAM {
-            self.emit_batch(batch, true);
-            return Ok(());
-        }
-        self.pending[tag as usize] = Some(batch);
-        while self.next >= 0 {
-            match self.pending[self.next as usize].take() {
-                Some(batch) => {
-                    let live = (self.next as u32) < self.live_below;
-                    self.emit_batch(batch, live);
-                    // Everything up to and including item `next` is now
-                    // in the sink: an exact watermark of total - next
-                    // completed first-level items.
-                    let done = (self.total as i64 - self.next) as u64;
-                    self.next -= 1;
-                    if live {
-                        let emit_t0 = cfp_trace::hist::maybe_now();
-                        let emitted = self.sink.progress(cfp_data::MineProgress::Items { done });
-                        cfp_trace::hist::record_since(&cfp_trace::hist::CORE_EMIT_NANOS, emit_t0);
-                        emitted?;
-                    }
-                }
-                None => break,
-            }
-        }
-        Ok(())
     }
 }
 
@@ -321,9 +106,9 @@ impl Miner for ParallelCfpGrowthMiner {
     }
 
     /// Fallible mine with worker containment: a panic inside any worker
-    /// is caught at the thread boundary ([`catch_unwind`]), a shared
-    /// poison flag cancels the remaining workers at their next work item,
-    /// and the first failure comes back as [`CfpError::WorkerPanic`],
+    /// is caught at the task boundary, a shared poison flag cancels the
+    /// remaining workers at their next work item, and the first failure
+    /// comes back as [`CfpError::WorkerPanic`],
     /// [`CfpError::MemoryExhausted`], or [`CfpError::WorkerTimeout`] —
     /// the process and the caller's sink survive (the sink may have
     /// received a partial result stream).
@@ -333,567 +118,35 @@ impl Miner for ParallelCfpGrowthMiner {
         min_support: u64,
         sink: &mut dyn ItemsetSink,
     ) -> Result<MineStats, CfpError> {
-        let pool = self.effective_pool();
-        if self.threads <= 1 {
-            return CfpGrowthMiner { single_path_opt: self.single_path_opt, mem_budget: None }
-                .try_mine_with(
-                    db,
-                    min_support,
-                    sink,
-                    &MineOpts {
-                        pool,
-                        compact_on_pressure: self.compact_on_pressure,
-                        cancel: self.cancel.clone(),
-                        resume_skip: self.resume_skip,
-                        output: self.output,
-                        ..Default::default()
-                    },
-                );
-        }
-        let mut stats = MineStats::default();
-        let mut sw = Stopwatch::start();
-
-        let (recoder, tree) = {
-            let _s = span(Phase::Build);
-            try_build_tree_with(
-                db,
-                min_support,
-                ArenaOptions {
-                    budget: None,
-                    pool: pool.clone(),
-                    compact_on_pressure: self.compact_on_pressure,
-                    component: Component::BuildTree,
-                },
-            )?
+        let exec = Exec {
+            workers: self.threads,
+            single_path_opt: true,
+            tree_budget: None,
+            worker_timeout: self.worker_timeout,
+            opts: MineOpts {
+                pool: self.pool.clone().or_else(|| self.mem_budget.map(BudgetPool::new)),
+                compact_on_pressure: self.compact_on_pressure,
+                cancel: self.cancel.clone(),
+                resume_skip: self.resume_skip,
+                output: self.output,
+                cond_spill: None,
+            },
         };
-        stats.scan_time = std::time::Duration::ZERO; // folded into build
-        stats.build_time = sw.lap();
-        stats.tree_nodes = tree.num_nodes();
-        let tree_bytes = tree.heap_bytes();
-
-        let array = {
-            let _s = span(Phase::Convert);
-            convert(&tree)
-        };
-        drop(tree);
-        let _array_charge = ArrayCharge::new(pool.clone(), array.heap_bytes());
-        stats.convert_time = sw.lap();
-
-        let globals: Vec<Item> =
-            (0..recoder.num_items() as u32).map(|i| recoder.original(i)).collect();
-        let n = recoder.num_items() as u32;
-        let threads = self.threads.min(n.max(1) as usize);
-        let single_path_opt = self.single_path_opt;
-        let schedule = self.schedule;
-        let output = self.output;
-        // One global top-k heap shared by every worker: offers are
-        // commutative (the final content is the set of k best, fixed by
-        // the input), so the drain below is deterministic for any thread
-        // count or schedule.
-        let topk: Option<Arc<TopKState>> = match output {
-            OutputMode::TopK(k) => Some(Arc::new(TopKState::new(k))),
-            _ => None,
-        };
-        let opts = MineOpts {
-            pool: pool.clone(),
-            compact_on_pressure: self.compact_on_pressure,
-            cancel: self.cancel.clone(),
-            output,
-            ..Default::default()
-        };
-
-        // A globally single-path array needs no parallelism — and must not
-        // be decomposed per item, or the emission order diverges from the
-        // sequential shortcut's depth-grouped order. Mine it inline so
-        // output stays byte-identical across thread counts and schedules.
-        // A single-path run has no per-item watermarks, so a manifest can
-        // only ever record zero completed items — resume_skip > 0 implies
-        // the fingerprint-matched original was not single-path.
-        if single_path_opt && self.resume_skip == 0 {
-            let inline = {
-                let _s = span(Phase::Mine);
-                let mut mode = ModeCtx::new_shared(output, &topk);
-                mine_single_path_root(&array, &globals, min_support, sink, &opts, &mut mode)
-                    .map(|itemsets| itemsets + drain_topk(&mode, sink))
-            };
-            if let Some(itemsets) = inline {
-                stats.mine_time = sw.lap();
-                stats.itemsets = itemsets;
-                stats.peak_bytes = tree_bytes.max(array.heap_bytes());
-                if let Some(p) = &pool {
-                    stats.peak_bytes = stats.peak_bytes.max(p.peak());
-                }
-                stats.avg_bytes = stats.peak_bytes;
-                return Ok(stats);
-            }
-        }
-
-        if cfp_trace::enabled() {
-            cfp_trace::counters::CORE_WORKERS.record(threads as u64);
-            cfp_trace::counters::CORE_FIRST_LEVEL_ITEMS.record(n as u64);
-        }
-        let array = Arc::new(array);
-        let globals = Arc::new(globals);
-        // Items ≥ max_item were emitted by the run being resumed. In
-        // condensed modes they are still mined — their itemsets seed the
-        // reconcile index, exactly like the sequential quiet re-mine —
-        // and the emitter replays them without emitting.
-        let max_item = (n as u64).saturating_sub(self.resume_skip) as u32;
-        let sched_max = if output.is_condensed() { n } else { max_item };
-        let queue = Arc::new(TaskQueue::with_limit(&array, sched_max));
-        let poison = Arc::new(AtomicBool::new(false));
-        let heartbeats: Arc<Vec<AtomicU64>> =
-            Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect());
-        let (tx, rx) = mpsc::channel::<(u32, Batch)>();
-        let mut worker_peaks = vec![0u64; threads];
-        let mut worker_tasks = vec![0u64; threads];
-        let mut worker_costs = vec![0u64; threads];
-        let mut first_error: Option<CfpError> = None;
-
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let tx = tx.clone();
-                let array = Arc::clone(&array);
-                let globals = Arc::clone(&globals);
-                let queue = Arc::clone(&queue);
-                let poison = Arc::clone(&poison);
-                let heartbeats = Arc::clone(&heartbeats);
-                let opts = opts.clone();
-                let topk = topk.clone();
-                std::thread::spawn(move || -> Result<(u64, u64, u64), CfpError> {
-                    if cfp_trace::events::capturing() {
-                        // Pin this worker's event track to a stable name
-                        // before the mine-phase span records its first
-                        // event (which would auto-register the track
-                        // under a fallback name).
-                        cfp_trace::events::name_thread(&format!("worker-{w}"));
-                    }
-                    // Each worker's mining wall time accumulates into
-                    // the mine phase (span count = worker count).
-                    let _s = span(Phase::Mine);
-                    match schedule {
-                        Schedule::Static => {
-                            let mut sink = BatchSink { tx, buf: Vec::with_capacity(BATCH) };
-                            let mut scratch = Scratch::default();
-                            let mut peak = 0u64;
-                            let mut tasks = 0u64;
-                            let mut cost = 0u64;
-                            let mut item = sched_max as i64 - 1 - w as i64;
-                            // Round-robin from least to most frequent.
-                            while item >= 0 {
-                                // A failed sibling poisons the run; stop at
-                                // the next work item instead of mining into
-                                // the void. Cancellation stops the same way
-                                // — cooperatively, at a task boundary.
-                                if poison.load(Ordering::Relaxed)
-                                    || opts.cancel.as_ref().is_some_and(|c| c.is_cancelled())
-                                {
-                                    break;
-                                }
-                                worker_tick(&heartbeats[w], schedule, tasks, 0);
-                                if cfp_fault::should_fail("core.worker.stall") {
-                                    // Injected hang: hold the heartbeat
-                                    // still until the watchdog poisons the
-                                    // run, then exit.
-                                    while !poison.load(Ordering::Relaxed) {
-                                        std::thread::sleep(Duration::from_millis(1));
-                                    }
-                                    break;
-                                }
-                                tasks += 1;
-                                let task_cost = array.subarray_bytes(item as u32);
-                                cost += task_cost;
-                                if cfp_trace::events::capturing() {
-                                    // Static deals are never steals: the
-                                    // round-robin assignment is fixed.
-                                    cfp_trace::events::record(
-                                        cfp_trace::events::EventKind::TaskClaim {
-                                            item: item as u32,
-                                            cost: task_cost,
-                                            stolen: false,
-                                        },
-                                    );
-                                }
-                                // Condensed outputs can't stream: each
-                                // item's batch is tagged so the emitter
-                                // can reconcile subsumption in exact
-                                // descending-item order.
-                                let mut task_buf: Option<Batch> = None;
-                                let result = catch_unwind(AssertUnwindSafe(|| {
-                                    if cfp_fault::should_fail("core.worker") {
-                                        panic!("injected worker fault (failpoint core.worker)");
-                                    }
-                                    let mut mode = ModeCtx::new_shared(output, &topk);
-                                    if output.is_condensed() {
-                                        let mut task = TaskSink::default();
-                                        let r = mine_one_item(
-                                            &array,
-                                            item as u32,
-                                            &globals,
-                                            min_support,
-                                            single_path_opt,
-                                            &mut task,
-                                            &opts,
-                                            &mut scratch,
-                                            &mut mode,
-                                        );
-                                        task_buf = Some(task.buf);
-                                        r
-                                    } else {
-                                        mine_one_item(
-                                            &array,
-                                            item as u32,
-                                            &globals,
-                                            min_support,
-                                            single_path_opt,
-                                            &mut sink,
-                                            &opts,
-                                            &mut scratch,
-                                            &mut mode,
-                                        )
-                                    }
-                                }));
-                                match result {
-                                    Ok(Ok((_, p))) => {
-                                        peak = peak.max(p);
-                                        if let Some(buf) = task_buf.take() {
-                                            if sink.tx.send((item as u32, buf)).is_err()
-                                                && !poison.load(Ordering::Relaxed)
-                                            {
-                                                return Err(CfpError::WorkerPanic {
-                                                    worker: w,
-                                                    message: "result channel disconnected"
-                                                        .to_string(),
-                                                });
-                                            }
-                                        }
-                                    }
-                                    Ok(Err(e)) => {
-                                        poison.store(true, Ordering::Relaxed);
-                                        return Err(e);
-                                    }
-                                    Err(payload) => {
-                                        poison.store(true, Ordering::Relaxed);
-                                        if cfp_trace::enabled() {
-                                            cfp_trace::counters::CORE_WORKER_PANICS.inc();
-                                        }
-                                        return Err(CfpError::WorkerPanic {
-                                            worker: w,
-                                            message: panic_message(&*payload),
-                                        });
-                                    }
-                                }
-                                item -= threads as i64;
-                            }
-                            if !sink.flush() && !poison.load(Ordering::Relaxed) {
-                                return Err(CfpError::WorkerPanic {
-                                    worker: w,
-                                    message: "result channel disconnected".to_string(),
-                                });
-                            }
-                            Ok((peak, tasks, cost))
-                        }
-                        Schedule::Dynamic => {
-                            // Claims beyond the fair static share count as
-                            // steals: work the dynamic queue moved onto
-                            // this worker that round-robin would not have.
-                            let fair_share = (n as u64).div_ceil(threads as u64);
-                            let mut scratch = Scratch::recycling();
-                            let mut peak = 0u64;
-                            let mut tasks = 0u64;
-                            let mut cost = 0u64;
-                            'claims: while let Some((start, len)) = queue.claim() {
-                                for slot in start..start + len {
-                                    if poison.load(Ordering::Relaxed)
-                                        || opts.cancel.as_ref().is_some_and(|c| c.is_cancelled())
-                                    {
-                                        break 'claims;
-                                    }
-                                    worker_tick(&heartbeats[w], schedule, tasks, fair_share);
-                                    if cfp_fault::should_fail("core.worker.stall") {
-                                        while !poison.load(Ordering::Relaxed) {
-                                            std::thread::sleep(Duration::from_millis(1));
-                                        }
-                                        break 'claims;
-                                    }
-                                    let item = queue.item(slot);
-                                    tasks += 1;
-                                    cost += queue.cost(slot);
-                                    if cfp_trace::events::capturing() {
-                                        // Same steal definition as
-                                        // `worker_tick`: claims past the
-                                        // fair round-robin share.
-                                        cfp_trace::events::record(
-                                            cfp_trace::events::EventKind::TaskClaim {
-                                                item,
-                                                cost: queue.cost(slot),
-                                                stolen: tasks > fair_share,
-                                            },
-                                        );
-                                    }
-                                    let mut sink = TaskSink::default();
-                                    let result = catch_unwind(AssertUnwindSafe(|| {
-                                        if cfp_fault::should_fail("core.worker") {
-                                            panic!("injected worker fault (failpoint core.worker)");
-                                        }
-                                        // Condensed state is per task: a
-                                        // fresh local index each item,
-                                        // reconciled globally by the
-                                        // emitter. Top-k shares the one
-                                        // global heap.
-                                        let mut mode = ModeCtx::new_shared(output, &topk);
-                                        mine_one_item(
-                                            &array,
-                                            item,
-                                            &globals,
-                                            min_support,
-                                            single_path_opt,
-                                            &mut sink,
-                                            &opts,
-                                            &mut scratch,
-                                            &mut mode,
-                                        )
-                                    }));
-                                    match result {
-                                        Ok(Ok((_, p))) => {
-                                            peak = peak.max(p);
-                                            if tx.send((item, sink.buf)).is_err()
-                                                && !poison.load(Ordering::Relaxed)
-                                            {
-                                                return Err(CfpError::WorkerPanic {
-                                                    worker: w,
-                                                    message: "result channel disconnected"
-                                                        .to_string(),
-                                                });
-                                            }
-                                        }
-                                        Ok(Err(e)) => {
-                                            poison.store(true, Ordering::Relaxed);
-                                            return Err(e);
-                                        }
-                                        Err(payload) => {
-                                            poison.store(true, Ordering::Relaxed);
-                                            if cfp_trace::enabled() {
-                                                cfp_trace::counters::CORE_WORKER_PANICS.inc();
-                                            }
-                                            return Err(CfpError::WorkerPanic {
-                                                worker: w,
-                                                message: panic_message(&*payload),
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                            Ok((peak, tasks, cost))
-                        }
-                    }
-                })
-            })
-            .collect();
-        drop(tx);
-
-        // Drain results on the caller's thread while workers run. With a
-        // worker timeout, poll with `recv_timeout` and watch the
-        // heartbeats of unfinished workers; a window with neither a batch
-        // nor a heartbeat tick is a stall.
-        let mut emitter = OrderedEmitter::new(sink, n, sched_max, max_item, output);
-        let mut timed_out = false;
-        match self.worker_timeout {
-            None => {
-                while let Ok((tag, batch)) = rx.recv() {
-                    if let Err(e) = emitter.handle(tag, batch) {
-                        // A failed progress hook (checkpoint commit) ends
-                        // the run like a poisoned worker would.
-                        poison.store(true, Ordering::Relaxed);
-                        first_error = Some(e);
-                        break;
-                    }
-                }
-            }
-            Some(limit) => {
-                let tick = (limit / 4).max(Duration::from_millis(5)).min(limit);
-                let mut last_beats: Vec<u64> =
-                    heartbeats.iter().map(|h| h.load(Ordering::Relaxed)).collect();
-                let mut waited = Duration::ZERO;
-                loop {
-                    match rx.recv_timeout(tick) {
-                        Ok((tag, batch)) => {
-                            waited = Duration::ZERO;
-                            if let Err(e) = emitter.handle(tag, batch) {
-                                poison.store(true, Ordering::Relaxed);
-                                first_error = Some(e);
-                                break;
-                            }
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            let beats: Vec<u64> =
-                                heartbeats.iter().map(|h| h.load(Ordering::Relaxed)).collect();
-                            let advanced =
-                                beats.iter().zip(&last_beats).any(|(now, before)| now != before);
-                            if advanced {
-                                last_beats = beats;
-                                waited = Duration::ZERO;
-                                continue;
-                            }
-                            waited += tick;
-                            if waited < limit {
-                                continue;
-                            }
-                            // Stall: no batch, no heartbeat, full window.
-                            // Blame the first unfinished worker.
-                            let stalled =
-                                handles.iter().position(|h| !h.is_finished()).unwrap_or_default();
-                            poison.store(true, Ordering::Relaxed);
-                            if cfp_trace::enabled() {
-                                cfp_trace::counters::CORE_WORKER_STALLS.inc();
-                            }
-                            first_error = Some(CfpError::WorkerTimeout {
-                                worker: stalled,
-                                waited_ms: waited.as_millis() as u64,
-                            });
-                            timed_out = true;
-                            break;
-                        }
-                    }
-                }
-                // Drain whatever the cancelled workers already sent so
-                // they can finish their final flush and exit.
-                while let Ok((tag, batch)) = rx.try_recv() {
-                    if !timed_out && first_error.is_none() {
-                        if let Err(e) = emitter.handle(tag, batch) {
-                            poison.store(true, Ordering::Relaxed);
-                            first_error = Some(e);
-                        }
-                    }
-                }
-            }
-        }
-        stats.itemsets = emitter.emitted;
-        let unfinished = emitter.unfinished();
-        drop(emitter);
-
-        for (w, h) in handles.into_iter().enumerate() {
-            if timed_out {
-                // Give cancelled workers a short grace to observe the
-                // poison flag; abandon any that stay wedged (they hold
-                // only Arc'd shared state, which outlives the run).
-                let mut grace = 50;
-                while !h.is_finished() && grace > 0 {
-                    std::thread::sleep(Duration::from_millis(2));
-                    grace -= 1;
-                }
-                if !h.is_finished() {
-                    drop(h);
-                    continue;
-                }
-            }
-            // join() only errors on a panic that escaped catch_unwind
-            // (e.g. inside BatchSink::flush); fold it into the same
-            // structured error instead of re-panicking.
-            let joined = h.join().unwrap_or_else(|payload| {
-                poison.store(true, Ordering::Relaxed);
-                Err(CfpError::WorkerPanic { worker: w, message: panic_message(&*payload) })
-            });
-            match joined {
-                Ok((peak, tasks, cost)) => {
-                    worker_peaks[w] = peak;
-                    worker_tasks[w] = tasks;
-                    worker_costs[w] = cost;
-                }
-                Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-            }
-        }
-        if first_error.is_none() {
-            if let Some(cancel) = &self.cancel {
-                // Cancellation only counts as an interruption when work
-                // remains — a signal landing after the last item leaves a
-                // complete run. The dynamic emitter knows exactly; static
-                // streams untagged, so judge by claimed task counts.
-                let incomplete = match schedule {
-                    Schedule::Dynamic => unfinished,
-                    Schedule::Static if output.is_condensed() => unfinished,
-                    Schedule::Static => worker_tasks.iter().sum::<u64>() < sched_max as u64,
-                };
-                if cancel.is_cancelled() && incomplete {
-                    first_error = Some(CfpError::Interrupted);
-                }
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        // Top-k emits nothing while mining (workers offer into the shared
-        // heap); the winners drain here, sorted, once the set is final.
-        if topk.is_some() {
-            let mode = ModeCtx::new_shared(output, &topk);
-            stats.itemsets += drain_topk(&mode, sink);
-        }
-        stats.mine_time = sw.lap();
-
-        // Upper-bound estimate: shared structures plus all worker peaks.
-        stats.peak_bytes = tree_bytes.max(array.heap_bytes()) + worker_peaks.iter().sum::<u64>();
-        if let Some(p) = &pool {
-            stats.peak_bytes = stats.peak_bytes.max(p.peak());
-        }
-        stats.avg_bytes = stats.peak_bytes;
-        stats.worker_peaks = worker_peaks;
-        stats.worker_tasks = worker_tasks;
-        stats.worker_costs = worker_costs;
-        Ok(stats)
-    }
-}
-
-/// Per-task worker bookkeeping: the watchdog heartbeat, plus the
-/// scheduler's claim/steal counters when tracing is on. `done` is the
-/// number of tasks the worker completed before this one; under the
-/// dynamic schedule, claims past `fair_share` (the round-robin deal size)
-/// are counted as steals.
-#[inline]
-fn worker_tick(heartbeat: &AtomicU64, schedule: Schedule, done: u64, fair_share: u64) {
-    // The watchdog counts a worker as live while its heartbeat advances
-    // between claimed tasks.
-    heartbeat.fetch_add(1, Ordering::Relaxed);
-    if cfp_trace::enabled() {
-        cfp_trace::counters::CORE_WORKER_HEARTBEATS.inc();
-        if schedule == Schedule::Dynamic {
-            cfp_trace::counters::CORE_TASKS_CLAIMED.inc();
-            if done >= fair_share {
-                cfp_trace::counters::CORE_TASKS_STOLEN.inc();
-            }
-        }
-    }
-}
-
-/// Renders a caught panic payload as a diagnostic string.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked with a non-string payload".to_string()
+        exec.run(Source::Db(db), min_support, sink)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CfpGrowthMiner;
     use cfp_data::miner::{CollectSink, CountingSink};
-    use cfp_data::profiles;
+    use cfp_data::{profiles, Item};
 
     fn sorted(miner: &dyn Miner, db: &TransactionDb, minsup: u64) -> Vec<(Vec<Item>, u64)> {
         let mut sink = CollectSink::new();
         miner.mine(db, minsup, &mut sink);
         sink.into_sorted()
-    }
-
-    fn with_schedule(threads: usize, schedule: Schedule) -> ParallelCfpGrowthMiner {
-        ParallelCfpGrowthMiner { schedule, ..ParallelCfpGrowthMiner::new(threads) }
     }
 
     #[test]
@@ -910,15 +163,8 @@ mod tests {
             vec![1, 2, 3],
         ]);
         let seq = sorted(&CfpGrowthMiner::new(), &db, 2);
-        for schedule in [Schedule::Static, Schedule::Dynamic] {
-            for threads in [2, 3, 8] {
-                assert_eq!(
-                    sorted(&with_schedule(threads, schedule), &db, 2),
-                    seq,
-                    "{threads} threads, {} schedule",
-                    schedule.name()
-                );
-            }
+        for threads in [2, 3, 8] {
+            assert_eq!(sorted(&ParallelCfpGrowthMiner::new(threads), &db, 2), seq, "{threads}");
         }
     }
 
@@ -929,18 +175,14 @@ mod tests {
         let minsup = p.absolute_support(&db, 1);
         let mut seq = CountingSink::new();
         CfpGrowthMiner::new().mine(&db, minsup, &mut seq);
-        for schedule in [Schedule::Static, Schedule::Dynamic] {
-            let mut par = CountingSink::new();
-            let stats = with_schedule(4, schedule).mine(&db, minsup, &mut par);
-            assert_eq!(
-                (seq.count, seq.support_sum, seq.item_sum),
-                (par.count, par.support_sum, par.item_sum),
-                "{} schedule",
-                schedule.name()
-            );
-            assert_eq!(stats.itemsets, par.count);
-            assert!(stats.peak_bytes > 0);
-        }
+        let mut par = CountingSink::new();
+        let stats = ParallelCfpGrowthMiner::new(4).mine(&db, minsup, &mut par);
+        assert_eq!(
+            (seq.count, seq.support_sum, seq.item_sum),
+            (par.count, par.support_sum, par.item_sum)
+        );
+        assert_eq!(stats.itemsets, par.count);
+        assert!(stats.peak_bytes > 0);
     }
 
     #[test]
@@ -955,12 +197,24 @@ mod tests {
         CfpGrowthMiner::new().mine(&db, minsup, &mut seq);
         for threads in [2, 3, 8] {
             let mut par = CollectSink::new();
-            with_schedule(threads, Schedule::Dynamic).mine(&db, minsup, &mut par);
+            ParallelCfpGrowthMiner::new(threads).mine(&db, minsup, &mut par);
             assert_eq!(
                 par.itemsets, seq.itemsets,
                 "dynamic {threads}-thread emission order diverged from sequential"
             );
         }
+    }
+
+    #[test]
+    fn parallel_stats_time_the_count_phase_like_sequential() {
+        let p = profiles::by_name("retail-like").unwrap();
+        let db = p.generate();
+        let minsup = p.absolute_support(&db, 1);
+        let seq = CfpGrowthMiner::new().mine(&db, minsup, &mut CountingSink::new());
+        let par = ParallelCfpGrowthMiner::new(2).mine(&db, minsup, &mut CountingSink::new());
+        assert_eq!(par.tree_nodes, seq.tree_nodes);
+        assert!(seq.scan_time > Duration::ZERO, "sequential count pass untimed");
+        assert!(par.scan_time > Duration::ZERO, "parallel count pass untimed");
     }
 
     #[test]
@@ -974,10 +228,8 @@ mod tests {
     #[test]
     fn more_threads_than_items_is_fine() {
         let db = TransactionDb::from_rows(&[vec![1, 2], vec![1]]);
-        for schedule in [Schedule::Static, Schedule::Dynamic] {
-            let got = sorted(&with_schedule(64, schedule), &db, 1);
-            assert_eq!(got, sorted(&CfpGrowthMiner::new(), &db, 1), "{}", schedule.name());
-        }
+        let got = sorted(&ParallelCfpGrowthMiner::new(64), &db, 1);
+        assert_eq!(got, sorted(&CfpGrowthMiner::new(), &db, 1));
     }
 
     #[test]
@@ -1008,28 +260,23 @@ mod tests {
         let build_charge = tree.arena_footprint() - 1; // offset 0 is the null byte
         drop(tree);
 
-        for schedule in [Schedule::Static, Schedule::Dynamic] {
-            let pool = BudgetPool::new(1 << 30);
-            let miner = ParallelCfpGrowthMiner {
-                pool: Some(pool.clone()),
-                schedule,
-                ..ParallelCfpGrowthMiner::new(4)
-            };
-            let mut a = CollectSink::new();
-            miner.try_mine(&db, 1, &mut a).expect("generous pool");
-            let mut b = CollectSink::new();
-            CfpGrowthMiner::new().mine(&db, 1, &mut b);
-            assert_eq!(a.into_sorted(), b.into_sorted(), "{} schedule", schedule.name());
+        let pool = BudgetPool::new(1 << 30);
+        let miner =
+            ParallelCfpGrowthMiner { pool: Some(pool.clone()), ..ParallelCfpGrowthMiner::new(4) };
+        let mut a = CollectSink::new();
+        miner.try_mine(&db, 1, &mut a).expect("generous pool");
+        let mut b = CollectSink::new();
+        CfpGrowthMiner::new().mine(&db, 1, &mut b);
+        assert_eq!(a.into_sorted(), b.into_sorted());
 
-            assert!(
-                pool.reserved_total() > build_charge,
-                "conditional trees must charge the shared pool (total {} vs build {build_charge})",
-                pool.reserved_total()
-            );
-            assert_eq!(pool.used(), 0, "every arena must release its reservation on drop/reset");
-            assert!(pool.peak() >= build_charge);
-            assert!(pool.peak() <= pool.limit());
-        }
+        assert!(
+            pool.reserved_total() > build_charge,
+            "conditional trees must charge the shared pool (total {} vs build {build_charge})",
+            pool.reserved_total()
+        );
+        assert_eq!(pool.used(), 0, "every arena must release its reservation on drop/reset");
+        assert!(pool.peak() >= build_charge);
+        assert!(pool.peak() <= pool.limit());
     }
 
     #[test]
@@ -1042,7 +289,7 @@ mod tests {
             db.push(&t);
         }
         let mut sink = CountingSink::new();
-        let stats = with_schedule(4, Schedule::Dynamic).mine(&db, 1, &mut sink);
+        let stats = ParallelCfpGrowthMiner::new(4).mine(&db, 1, &mut sink);
         assert_eq!(stats.worker_tasks.len(), 4);
         assert_eq!(stats.worker_costs.len(), 4);
         // Every first-level item is claimed exactly once, by someone.
@@ -1162,20 +409,12 @@ mod tests {
             vec![1, 2],
             vec![1, 3],
         ]);
-        for schedule in [Schedule::Static, Schedule::Dynamic] {
-            let miner = ParallelCfpGrowthMiner {
-                worker_timeout: Some(Duration::from_secs(30)),
-                schedule,
-                ..ParallelCfpGrowthMiner::new(3)
-            };
-            let mut sink = CollectSink::new();
-            miner.try_mine(&db, 1, &mut sink).expect("healthy run must not time out");
-            assert_eq!(
-                sink.into_sorted(),
-                sorted(&CfpGrowthMiner::new(), &db, 1),
-                "{} schedule",
-                schedule.name()
-            );
-        }
+        let miner = ParallelCfpGrowthMiner {
+            worker_timeout: Some(Duration::from_secs(30)),
+            ..ParallelCfpGrowthMiner::new(3)
+        };
+        let mut sink = CollectSink::new();
+        miner.try_mine(&db, 1, &mut sink).expect("healthy run must not time out");
+        assert_eq!(sink.into_sorted(), sorted(&CfpGrowthMiner::new(), &db, 1));
     }
 }

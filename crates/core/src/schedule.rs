@@ -1,15 +1,15 @@
-//! Mine-phase scheduling for the parallel miner.
+//! Mine-phase scheduling for runs with several workers.
 //!
 //! The mine phase decomposes into one independent task per first-level
 //! item, but task costs are wildly skewed: a few high-support items own
 //! most of the CFP-array and dominate the conditional recursion, exactly
-//! the imbalance FIMI datasets exhibit. Static round-robin dealing fixes
+//! the imbalance FIMI datasets exhibit. A fixed round-robin deal would fix
 //! each worker's item set up front, so whichever worker drew the heavy
-//! items finishes last while the rest idle.
+//! items would finish last while the rest idle.
 //!
-//! [`TaskQueue`] replaces the static deal with dynamic claiming: items are
-//! sorted heaviest-first by an O(1) cost estimate (the encoded byte length
-//! of each item's subarray, straight from [`cfp_array::CfpArray::starts`])
+//! [`TaskQueue`] claims dynamically instead: items are sorted
+//! heaviest-first by an O(1) cost estimate (the encoded byte length of
+//! each item's subarray, straight from [`cfp_array::CfpArray::starts`])
 //! and workers pull from a shared cursor. Heavy items are claimed one at a
 //! time — the longest-processing-time-first greedy rule, which keeps the
 //! completion-time spread within one task of optimal — while the cheap
@@ -17,45 +17,7 @@
 //! trivial item.
 
 use cfp_array::CfpArray;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// How first-level items are distributed to mine-phase workers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Schedule {
-    /// Deal items round-robin up front (the pre-scheduler behaviour).
-    /// Workers stream result batches, so output order is
-    /// nondeterministic.
-    Static,
-    /// Workers claim cost-sorted items from a shared queue and recycle
-    /// one arena across conditional trees. Results are buffered per item
-    /// and emitted in descending item order — byte-for-byte identical to
-    /// sequential mining.
-    #[default]
-    Dynamic,
-}
-
-impl Schedule {
-    /// The flag spelling of this schedule.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Schedule::Static => "static",
-            Schedule::Dynamic => "dynamic",
-        }
-    }
-}
-
-impl FromStr for Schedule {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "static" => Ok(Schedule::Static),
-            "dynamic" => Ok(Schedule::Dynamic),
-            other => Err(format!("unknown schedule '{other}' (expected static|dynamic)")),
-        }
-    }
-}
 
 /// Cheap items are claimed in runs of this many to amortise the cursor
 /// CAS; heavy items always go one at a time.
@@ -159,17 +121,6 @@ mod tests {
             crate::growth::try_build_tree(&TransactionDb::from_rows(rows), minsup, None)
                 .expect("build");
         TaskQueue::new(&cfp_array::convert(&tree))
-    }
-
-    #[test]
-    fn schedule_parses_and_round_trips() {
-        assert_eq!("static".parse::<Schedule>().unwrap(), Schedule::Static);
-        assert_eq!("dynamic".parse::<Schedule>().unwrap(), Schedule::Dynamic);
-        assert!("fifo".parse::<Schedule>().is_err());
-        assert_eq!(Schedule::default(), Schedule::Dynamic);
-        for s in [Schedule::Static, Schedule::Dynamic] {
-            assert_eq!(s.name().parse::<Schedule>().unwrap(), s);
-        }
     }
 
     #[test]

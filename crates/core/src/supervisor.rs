@@ -2,25 +2,26 @@
 //!
 //! [`Supervisor::mine`] wraps a mining run in an escalation ladder that
 //! turns [`CfpError::MemoryExhausted`] (and watchdog timeouts) into
-//! completed, *exact* runs wherever possible. The rungs, in order, each
-//! attempted at most once per run:
+//! completed, *exact* runs wherever possible. The ladder is a list of
+//! executor configurations tried in order, each at most once per run:
 //!
 //! 1. **retry** — run again with the budget enforced by one shared
 //!    [`BudgetPool`] and compact-on-pressure armed, so a denied
 //!    allocation first reclaims the arena's trailing free chunks.
-//! 2. **degrade** — downshift from parallel to sequential mining (one
+//! 2. **degrade** — downshift from parallel to one worker (one
 //!    conditional tree live instead of `threads`), same pool and
-//!    compaction.
-//! 3. **partition** — split the database into `k` item-range projections
-//!    ([`cfp_data::partition`]), mine each sequentially under the
-//!    budget, and merge the per-range results into the exact global
-//!    result. A range that still exhausts the budget is split in two and
-//!    requeued; a single-item range that fails ends the run.
-//! 4. **spill** (replacing rung 3 under [`RecoveryPolicy::Spill`]) —
-//!    out-of-core partitioned mining: each projection's CFP-array is
-//!    written to a crash-safe spill file and mined back one at a time
-//!    through a zero-copy view, so the budget covers only one
-//!    partition's transient structures at a time.
+//!    compaction. Skipped when the run had one worker already.
+//! 3. **partition** / **spill** — the partitioned rung: split the
+//!    database into `k` item-range projections
+//!    ([`cfp_data::partition`]), build and convert each under the budget,
+//!    mine it with one worker, and merge the per-range results into the
+//!    exact global result. A range that still exhausts the budget is
+//!    split in two and requeued; a single-item range that fails ends the
+//!    run. The policy picks the partition store: `partition` keeps each
+//!    converted array in memory and mines it at once; `spill` writes
+//!    every array to a crash-safe, checksummed spill file and mines them
+//!    back one at a time through zero-copy views, so the budget covers
+//!    only one partition's transient structures at a time.
 //!
 //! Output is buffered per attempt and flushed to the caller's sink only
 //! when an attempt succeeds, so the caller never sees a partial result
@@ -29,30 +30,26 @@
 //! collected [`RecoveryReport`] as the `degradation` section of the
 //! `cfp-profile/2` run report.
 //!
-//! Exactness of the partition rung follows Grahne & Zhu's range
+//! Exactness of the partitioned rung follows Grahne & Zhu's range
 //! projection argument, spelled out in [`cfp_data::partition`]: every
 //! frequent itemset has exactly one maximal item under the global
 //! support-descending recode order, the projection for that item's range
-//! preserves the itemset's full global support, and a
-//! max-item filter keeps each itemset in exactly one range's output.
+//! preserves the itemset's full global support, and a max-item filter
+//! keeps each itemset in exactly one range's output. The on-disk detour
+//! of the spill store is a checksummed identity transformation of each
+//! partition's array.
 
-use crate::growth::{
-    mine_loaded, ArrayCharge, CfpGrowthMiner, MineOpts, ModeCtx, SubsumeIndex, TopKState,
-};
-use crate::parallel::ParallelCfpGrowthMiner;
-use crate::schedule::Schedule;
+use crate::exec::{prepare, Exec, Prepared, Reconcile, Source};
+use crate::growth::{ArrayCharge, MineOpts, TopKState};
 use crate::spill::{load_spill_array, write_spill_array, CondSpill};
-use cfp_array::convert;
 use cfp_data::miner::CollectSink;
 use cfp_data::partition::{project, ranges_by_mass};
 use cfp_data::spill::SpillDir;
-use cfp_data::{
-    CfpError, Item, ItemRecoder, ItemsetSink, MineStats, Miner, OutputMode, TransactionDb,
-};
-use cfp_memman::{BudgetPool, Component};
+use cfp_data::{CfpError, Item, ItemRecoder, ItemsetSink, MineStats, OutputMode, TransactionDb};
+use cfp_memman::{ArenaOptions, BudgetPool, Component};
 use cfp_trace::{span, Phase};
+use std::cmp::Reverse;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -64,14 +61,14 @@ pub enum RecoveryPolicy {
     Off,
     /// Rung 1 only: compact-and-retry under a shared pool.
     Retry,
-    /// Rungs 1–2: retry, then downshift to sequential mining.
+    /// Rungs 1–2: retry, then downshift to one worker.
     Degrade,
-    /// Rungs 1–3: retry, degrade, then partitioned fallback mining.
+    /// Rungs 1–3: retry, degrade, then partitioned mining in memory.
     Partition,
-    /// Rungs 1–2 then out-of-core: retry, degrade, then spill partition
-    /// arrays to disk and mine them back one at a time through zero-copy
-    /// views. The disk-backed sibling of [`RecoveryPolicy::Partition`]
-    /// for datasets whose projections still crowd the budget in RAM.
+    /// Rungs 1–3 with the partitioned rung out of core: partition arrays
+    /// go through spill files and are mined back one at a time through
+    /// zero-copy views. For datasets whose projections still crowd the
+    /// budget in RAM.
     Spill,
 }
 
@@ -114,7 +111,8 @@ pub struct RungReport {
     pub succeeded: bool,
     /// Bytes reclaimed by arena compaction during the rung.
     pub reclaimed_bytes: u64,
-    /// Number of partitions mined (partition rung only, else 0).
+    /// Number of partitions mined (the partition and spill rungs; 0 for
+    /// the others).
     pub partitions: u64,
     /// The rung's failure, when it failed.
     pub error: Option<String>,
@@ -131,46 +129,74 @@ pub struct RecoveryReport {
     pub recovered: bool,
     /// Partitions in the final successful configuration (0 = monolithic).
     pub final_partitions: u64,
-    /// Per-partition pool peaks of the partition rung, in mining order.
+    /// Per-partition pool peaks of the partition or spill rung, in
+    /// mining order.
     pub partition_peaks: Vec<u64>,
 }
 
 /// Supervises a mining run with an escalation ladder (see the module
-/// docs). Construct with the same knobs as [`ParallelCfpGrowthMiner`]
-/// plus a [`RecoveryPolicy`].
+/// docs). Construct with the same knobs as
+/// [`ParallelCfpGrowthMiner`](crate::ParallelCfpGrowthMiner) plus a
+/// [`RecoveryPolicy`].
 #[derive(Clone, Debug)]
 pub struct Supervisor {
     /// Worker threads for the first attempt and the retry rung.
     pub threads: usize,
-    /// Enumerate single-path structures directly instead of recursing.
-    pub single_path_opt: bool,
     /// Byte budget for the whole run; `None` disables the memory rungs'
     /// reason to exist but the ladder still handles worker failures.
     pub mem_budget: Option<u64>,
     /// The escalation policy.
     pub policy: RecoveryPolicy,
     /// Watchdog limit for parallel attempts (see
-    /// [`ParallelCfpGrowthMiner::worker_timeout`]).
+    /// [`ParallelCfpGrowthMiner::worker_timeout`](crate::ParallelCfpGrowthMiner::worker_timeout)).
     pub worker_timeout: Option<Duration>,
-    /// Mine-phase schedule for the first attempt and the retry rung
-    /// (the degrade and partition rungs are sequential by design).
-    pub schedule: Schedule,
-    /// Parent directory for the spill rung's scratch files; the system
+    /// Parent directory for the spill store's scratch files; the system
     /// temp directory when unset. A uniquely-named subdirectory is
     /// created per run and removed on every exit path.
     pub spill_dir: Option<PathBuf>,
     /// Cooperative cancellation, polled at every rung and partition
-    /// boundary and threaded into each rung's miner. A fired token stops
-    /// the ladder with [`CfpError::Interrupted`] — recovery rungs never
-    /// escalate past a cancellation, because the interruption is not a
-    /// failure the ladder could repair.
+    /// boundary and threaded into each rung's executor. A fired token
+    /// stops the ladder with [`CfpError::Interrupted`] — recovery rungs
+    /// never escalate past a cancellation, because the interruption is
+    /// not a failure the ladder could repair.
     pub cancel: Option<cfp_fault::CancelToken>,
     /// What every rung emits (all, closed, maximal, or top-k). The
-    /// partition and spill rungs stay exact in condensed modes by mining
-    /// ranges in descending item order and reconciling each partition's
+    /// partitioned rung stays exact in condensed modes by mining ranges
+    /// in descending item order and reconciling each partition's
     /// locally-condensed output against a global subsumption index; for
-    /// top-k they mine everything and select the winners at the end.
+    /// top-k it mines everything and selects the winners at the end.
     pub output: OutputMode,
+}
+
+/// One step of the recovery ladder.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// The classic run.
+    First,
+    /// Rung 1: shared pool, compaction armed.
+    Retry,
+    /// Rung 2: one worker.
+    Degrade,
+    /// Rung 3: partitioned mining through the policy's store.
+    Partitioned,
+}
+
+/// Where the partitioned rung's range queue starts.
+enum Start {
+    /// Split the item domain into this many support-mass-balanced ranges.
+    Split(usize),
+    /// Continue a previous run: `done` partitions completed, these
+    /// ranges left to mine, in order.
+    Resume { done: u64, remaining: Vec<(u32, u32)> },
+}
+
+/// What one attempt did besides its result.
+#[derive(Default)]
+struct Tally {
+    /// Bytes reclaimed by arena compaction.
+    reclaimed: u64,
+    /// Pool peak of every partition mined, in order.
+    peaks: Vec<u64>,
 }
 
 impl Supervisor {
@@ -178,11 +204,9 @@ impl Supervisor {
     pub fn new(policy: RecoveryPolicy) -> Self {
         Supervisor {
             threads: 1,
-            single_path_opt: true,
             mem_budget: None,
             policy,
             worker_timeout: None,
-            schedule: Schedule::default(),
             spill_dir: None,
             cancel: None,
             output: OutputMode::default(),
@@ -192,6 +216,22 @@ impl Supervisor {
     /// Whether the run's cancel token (if any) has fired.
     fn cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(|c| c.is_cancelled())
+    }
+
+    /// The steps this policy allows, in order.
+    fn ladder(&self) -> Vec<Step> {
+        let mut steps = vec![Step::First];
+        if self.policy >= RecoveryPolicy::Retry {
+            steps.push(Step::Retry);
+        }
+        // Degrading a one-worker run would repeat the retry exactly.
+        if self.policy >= RecoveryPolicy::Degrade && self.threads > 1 {
+            steps.push(Step::Degrade);
+        }
+        if self.policy >= RecoveryPolicy::Partition {
+            steps.push(Step::Partitioned);
+        }
+        steps
     }
 
     /// Mines `db`, escalating through the recovery ladder on failure.
@@ -208,340 +248,59 @@ impl Supervisor {
     ) -> (Result<MineStats, CfpError>, RecoveryReport) {
         let mut report =
             RecoveryReport { policy: self.policy.name().to_string(), ..Default::default() };
-
-        // First attempt: the classic run, output buffered.
-        let mut buf = CollectSink::new();
-        let first = ParallelCfpGrowthMiner {
-            threads: self.threads,
-            single_path_opt: self.single_path_opt,
-            mem_budget: self.mem_budget,
-            pool: None,
-            worker_timeout: self.worker_timeout,
-            compact_on_pressure: false,
-            schedule: self.schedule,
-            cancel: self.cancel.clone(),
-            resume_skip: 0,
-            output: self.output,
-        }
-        .try_mine(db, min_support, &mut buf);
-        let mut last_err = match first {
-            Ok(stats) => {
-                flush(buf, sink);
-                return (Ok(stats), report);
+        let mut cause: Option<CfpError> = None;
+        for step in self.ladder() {
+            if cause.is_some() && (self.cancelled() || matches!(cause, Some(CfpError::Interrupted)))
+            {
+                return (Err(CfpError::Interrupted), report);
             }
-            Err(e) => e,
-        };
-        if self.policy == RecoveryPolicy::Off {
-            return (Err(last_err), report);
-        }
-        if self.cancelled() || matches!(last_err, CfpError::Interrupted) {
-            return (Err(CfpError::Interrupted), report);
-        }
-
-        // Rung 1: retry with compaction armed and the budget enforced by
-        // one shared pool across every arena of the run.
-        {
-            let _s = span(Phase::Recover);
-            rung_started(cfp_trace::Rung::Retry);
-            let pool = self.mem_budget.map(BudgetPool::new);
-            let mut buf = CollectSink::new();
-            let r = ParallelCfpGrowthMiner {
-                threads: self.threads,
-                single_path_opt: self.single_path_opt,
-                mem_budget: None,
-                pool: pool.clone(),
-                worker_timeout: self.worker_timeout,
-                compact_on_pressure: true,
-                schedule: self.schedule,
-                cancel: self.cancel.clone(),
-                resume_skip: 0,
-                output: self.output,
-            }
-            .try_mine(db, min_support, &mut buf);
-            let reclaimed = pool.map(|p| p.compact_reclaimed()).unwrap_or(0);
-            match r {
-                Ok(stats) => {
-                    report.rungs.push(RungReport {
-                        rung: "retry",
-                        succeeded: true,
-                        reclaimed_bytes: reclaimed,
-                        partitions: 0,
-                        error: None,
-                    });
-                    report.recovered = true;
-                    flush(buf, sink);
-                    return (Ok(stats), report);
+            // Size the first split from the failure itself: aim for
+            // projections of at most half the budget; otherwise 2.
+            let k0 = match cause {
+                Some(CfpError::MemoryExhausted { footprint, limit, .. }) if limit > 0 => {
+                    (2 * footprint).div_ceil(limit).max(2) as usize
                 }
-                Err(e) => {
-                    report.rungs.push(RungReport {
-                        rung: "retry",
-                        succeeded: false,
-                        reclaimed_bytes: reclaimed,
-                        partitions: 0,
-                        error: Some(e.to_string()),
-                    });
-                    last_err = e;
-                }
-            }
-        }
-        if self.policy == RecoveryPolicy::Retry {
-            return (Err(last_err), report);
-        }
-        if self.cancelled() || matches!(last_err, CfpError::Interrupted) {
-            return (Err(CfpError::Interrupted), report);
-        }
-
-        // Rung 2: downshift to sequential mining — one conditional tree
-        // live at a time instead of `threads`. Skipped when the run was
-        // sequential already (it would repeat rung 1 exactly).
-        if self.threads > 1 {
-            let _s = span(Phase::Recover);
-            rung_started(cfp_trace::Rung::Degrade);
-            let pool = self.mem_budget.map(BudgetPool::new);
-            let mut buf = CollectSink::new();
-            let r = CfpGrowthMiner { single_path_opt: self.single_path_opt, mem_budget: None }
-                .try_mine_with(
-                    db,
-                    min_support,
-                    &mut buf,
-                    &MineOpts {
-                        pool: pool.clone(),
-                        compact_on_pressure: true,
-                        cancel: self.cancel.clone(),
-                        output: self.output,
-                        ..Default::default()
-                    },
-                );
-            let reclaimed = pool.map(|p| p.compact_reclaimed()).unwrap_or(0);
-            match r {
-                Ok(stats) => {
-                    report.rungs.push(RungReport {
-                        rung: "degrade",
-                        succeeded: true,
-                        reclaimed_bytes: reclaimed,
-                        partitions: 0,
-                        error: None,
-                    });
-                    report.recovered = true;
-                    flush(buf, sink);
-                    return (Ok(stats), report);
-                }
-                Err(e) => {
-                    report.rungs.push(RungReport {
-                        rung: "degrade",
-                        succeeded: false,
-                        reclaimed_bytes: reclaimed,
-                        partitions: 0,
-                        error: Some(e.to_string()),
-                    });
-                    last_err = e;
-                }
-            }
-        }
-        if self.policy == RecoveryPolicy::Degrade {
-            return (Err(last_err), report);
-        }
-        if self.cancelled() || matches!(last_err, CfpError::Interrupted) {
-            return (Err(CfpError::Interrupted), report);
-        }
-
-        // Rung 3: partitioned fallback mining — in RAM for the
-        // `partition` policy, through disk for `spill`.
-        let _s = span(Phase::Recover);
-        let (rung, r) = if self.policy == RecoveryPolicy::Spill {
-            rung_started(cfp_trace::Rung::Spill);
-            ("spill", self.spill_rung(db, min_support, &last_err, None, None))
-        } else {
-            rung_started(cfp_trace::Rung::Partition);
-            ("partition", self.partition_rung(db, min_support, &last_err))
-        };
-        match r {
-            Ok((stats, partitions, reclaimed, peaks, buf)) => {
-                report.rungs.push(RungReport {
-                    rung,
-                    succeeded: true,
-                    reclaimed_bytes: reclaimed,
-                    partitions,
-                    error: None,
-                });
-                report.recovered = true;
-                report.final_partitions = partitions;
-                report.partition_peaks = peaks;
-                flush(buf, sink);
-                (Ok(stats), report)
-            }
-            Err((e, partitions, reclaimed)) => {
-                report.rungs.push(RungReport {
-                    rung,
-                    succeeded: false,
-                    reclaimed_bytes: reclaimed,
-                    partitions,
-                    error: Some(e.to_string()),
-                });
-                (Err(e), report)
-            }
-        }
-    }
-
-    /// The partition rung: project, mine each range under the budget,
-    /// filter by maximal item, and concatenate. Returns the merged
-    /// stats, the number of partitions mined, compaction bytes, the
-    /// per-partition pool peaks, and the buffered output.
-    #[allow(clippy::type_complexity)]
-    fn partition_rung(
-        &self,
-        db: &TransactionDb,
-        min_support: u64,
-        cause: &CfpError,
-    ) -> Result<(MineStats, u64, u64, Vec<u64>, CollectSink), (CfpError, u64, u64)> {
-        let recoder = ItemRecoder::scan(db, min_support);
-        let n = recoder.num_items();
-        if n == 0 {
-            // Nothing frequent: the empty result is exact. (The original
-            // failure was necessarily transient — e.g. injected.)
-            return Ok((MineStats::default(), 0, 0, Vec::new(), CollectSink::new()));
-        }
-        // Initial partition count from the failure itself: aim for
-        // projections of at most half the budget. For non-memory causes
-        // start at 2.
-        let k0 = match *cause {
-            CfpError::MemoryExhausted { footprint, limit, .. } if limit > 0 => {
-                (2 * footprint).div_ceil(limit).max(2) as usize
-            }
-            _ => 2,
-        };
-        let condensed = self.output.is_condensed();
-        // Top-k needs the global view: mine every partition in full and
-        // select the winners at the end. Condensed modes mine condensed
-        // per partition and reconcile below.
-        let proj_output = match self.output {
-            OutputMode::TopK(_) => OutputMode::All,
-            other => other,
-        };
-        let mut queue: VecDeque<(u32, u32)> = ranges_by_mass(&recoder, k0.min(n)).into();
-        if condensed {
-            // Descending item ranges reproduce the sequential top-item
-            // order, so every cross-partition subsumer is buffered before
-            // the candidates it subsumes (a superset's maximal item is ≥
-            // the candidate's).
-            queue.make_contiguous().reverse();
-        }
-
-        let mut buf = CollectSink::new();
-        let mut stats = MineStats::default();
-        let mut peaks: Vec<u64> = Vec::new();
-        let mut reclaimed = 0u64;
-        let mut mined = 0u64;
-        let miner = CfpGrowthMiner { single_path_opt: self.single_path_opt, mem_budget: None };
-        while let Some((lo, hi)) = queue.pop_front() {
-            if self.cancelled() {
-                return Err((CfpError::Interrupted, mined, reclaimed));
-            }
-            let proj = project(db, &recoder, lo, hi);
-            let pool = self.mem_budget.map(BudgetPool::new);
-            let opts = MineOpts {
-                pool: pool.clone(),
-                compact_on_pressure: true,
-                cancel: self.cancel.clone(),
-                output: proj_output,
-                ..Default::default()
+                _ => 2,
             };
-            let mut fsink = RangeFilterSink { inner: &mut buf, recoder: &recoder, lo, hi };
-            let r = miner.try_mine_with(&proj, min_support, &mut fsink, &opts);
-            if let Some(p) = &pool {
-                reclaimed += p.compact_reclaimed();
-            }
-            match r {
-                Ok(s) => {
-                    mined += 1;
-                    peaks.push(pool.map(|p| p.peak()).unwrap_or(s.peak_bytes));
-                    stats.itemsets += s.itemsets;
-                    stats.scan_time += s.scan_time;
-                    stats.build_time += s.build_time;
-                    stats.convert_time += s.convert_time;
-                    stats.mine_time += s.mine_time;
-                    stats.tree_nodes += s.tree_nodes;
-                    stats.peak_bytes = stats.peak_bytes.max(s.peak_bytes);
-                    stats.avg_bytes = stats.avg_bytes.max(s.avg_bytes);
-                }
-                Err(CfpError::MemoryExhausted { .. }) if hi - lo > 1 => {
-                    // Too big even projected: halve the range and requeue
-                    // both parts. The failed attempt may already have
-                    // buffered part of this range's output — retract it
-                    // so the halves re-mine without duplication.
-                    retract_range(&mut buf, &recoder, lo, hi);
-                    let mid = lo + (hi - lo) / 2;
-                    if condensed {
-                        // Keep the queue strictly descending.
-                        queue.push_front((lo, mid));
-                        queue.push_front((mid, hi));
-                    } else {
-                        queue.push_front((mid, hi));
-                        queue.push_front((lo, mid));
+            let mut buf = CollectSink::new();
+            match self.run_step(step, db, min_support, Start::Split(k0), &mut buf, &mut report) {
+                Ok(stats) => {
+                    for (itemset, support) in &buf.itemsets {
+                        sink.emit(itemset, *support);
                     }
+                    return (Ok(stats), report);
                 }
-                Err(e) => return Err((e, mined, reclaimed)),
+                Err(e) => cause = Some(e),
             }
         }
-        if cfp_trace::enabled() {
-            cfp_trace::counters::CORE_PARTITIONS.record(mined);
-        }
-        finalize_output(self.output, &mut buf);
-        // itemsets counted by the projection miners include filtered-out
-        // emissions; the buffered (kept) count is the real one.
-        stats.itemsets = buf.itemsets.len() as u64;
-        stats.worker_peaks = peaks.clone();
-        Ok((stats, mined, reclaimed, peaks, buf))
+        (Err(cause.expect("the ladder has a first step")), report)
     }
 
-    /// Runs the out-of-core spill rung directly, without first climbing
-    /// the in-memory rungs — for callers that already know the dataset
-    /// must go through disk (and for differential testing of the rung in
-    /// isolation). Output, exactness, and reporting match a
-    /// [`mine`](Supervisor::mine) run whose ladder ends in the spill
-    /// rung.
-    pub fn mine_out_of_core(
-        &self,
-        db: &TransactionDb,
-        min_support: u64,
-        sink: &mut dyn ItemsetSink,
-    ) -> (Result<MineStats, CfpError>, RecoveryReport) {
-        self.out_of_core_impl(db, min_support, sink, false, None)
-    }
-
-    /// The checkpointable spin on [`mine_out_of_core`]
-    /// (Supervisor::mine_out_of_core): output is **streamed** to `sink`
-    /// partition by partition instead of buffered for the whole run, and
-    /// after each completed partition the sink receives a
+    /// Runs the partitioned rung directly, without first climbing the
+    /// monolithic rungs — for callers that already know the dataset must
+    /// be partitioned, and for checkpointed runs. The store follows the
+    /// policy: on disk for [`RecoveryPolicy::Spill`], in memory
+    /// otherwise. Output and exactness match a [`mine`](Supervisor::mine)
+    /// run whose ladder ends in the same rung.
+    ///
+    /// Output is **streamed** to `sink` partition by partition, and after
+    /// each completed partition the sink receives a
     /// [`cfp_data::MineProgress::SpillParts`] notification carrying the
     /// global completed-partition count and the not-yet-mined `(lo, hi)`
     /// ranges in processing order — exactly the state a checkpoint
     /// manifest needs. A partition that fails and is halved never reaches
-    /// the sink (its buffered output is discarded before the halves
-    /// re-mine), so the stream always sits at a partition watermark.
+    /// the sink, so the stream always sits at a partition watermark.
     ///
     /// `resume` replays a previous run's final notification: `done`
     /// completed partitions (counted into subsequent notifications, never
     /// re-mined) and the surviving ranges to mine, in order. Because
     /// ranges are re-projected from the database, no spill files need to
     /// have survived the crash. Passing `None` starts a fresh run.
-    pub fn mine_out_of_core_resumable(
+    pub fn mine_out_of_core(
         &self,
         db: &TransactionDb,
         min_support: u64,
         sink: &mut dyn ItemsetSink,
-        resume: Option<(u64, Vec<(u32, u32)>)>,
-    ) -> (Result<MineStats, CfpError>, RecoveryReport) {
-        self.out_of_core_impl(db, min_support, sink, true, resume)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn out_of_core_impl(
-        &self,
-        db: &TransactionDb,
-        min_support: u64,
-        sink: &mut dyn ItemsetSink,
-        stream: bool,
         resume: Option<(u64, Vec<(u32, u32)>)>,
     ) -> (Result<MineStats, CfpError>, RecoveryReport) {
         // Resuming mid-run would start the reconcile index (or top-k
@@ -553,460 +312,391 @@ impl Supervisor {
             "resumable out-of-core mining supports only OutputMode::All, not {}",
             self.output
         );
-        let mut report = RecoveryReport {
-            policy: RecoveryPolicy::Spill.name().to_string(),
-            ..Default::default()
+        let start = match resume {
+            Some((done, remaining)) => Start::Resume { done, remaining },
+            None => Start::Split(2),
         };
-        let _s = span(Phase::Recover);
-        rung_started(cfp_trace::Rung::Spill);
-        let cause = CfpError::MemoryExhausted {
-            phase: "build",
-            requested: 0,
-            footprint: 0,
-            limit: self.mem_budget.unwrap_or(0),
-        };
-        // Each branch consumes `sink` exactly once: streaming hands it to
-        // the rung, buffering flushes into it afterwards.
-        let r = if stream {
-            self.spill_rung(db, min_support, &cause, Some(sink), resume)
-        } else {
-            self.spill_rung(db, min_support, &cause, None, resume).map(
-                |(stats, partitions, reclaimed, peaks, buf)| {
-                    flush(buf, sink);
-                    (stats, partitions, reclaimed, peaks, CollectSink::new())
-                },
-            )
-        };
-        match r {
-            Ok((stats, partitions, reclaimed, peaks, _buf)) => {
-                report.rungs.push(RungReport {
-                    rung: "spill",
-                    succeeded: true,
-                    reclaimed_bytes: reclaimed,
-                    partitions,
-                    error: None,
-                });
-                report.recovered = true;
-                report.final_partitions = partitions;
-                report.partition_peaks = peaks;
-                (Ok(stats), report)
-            }
-            Err((e, partitions, reclaimed)) => {
-                report.rungs.push(RungReport {
-                    rung: "spill",
-                    succeeded: false,
-                    reclaimed_bytes: reclaimed,
-                    partitions,
-                    error: Some(e.to_string()),
-                });
-                (Err(e), report)
-            }
-        }
+        let mut report =
+            RecoveryReport { policy: self.policy.name().to_string(), ..Default::default() };
+        let result = self.run_step(Step::Partitioned, db, min_support, start, sink, &mut report);
+        (result, report)
     }
 
-    /// The spill rung: out-of-core partitioned mining.
-    ///
-    /// **Spill phase** — each queued item range is projected, its
-    /// CFP-tree built and converted under a fresh budget pool, and the
-    /// resulting array written to a crash-safe spill file
-    /// ([`cfp_data::spill::write_atomic`]); tree and array are dropped
-    /// before the next range, so at most one partition's structures are
-    /// in RAM. A range whose *tree* already busts the budget is halved
-    /// and requeued, exactly like the in-memory partition rung.
-    ///
-    /// **Mine phase** — each spill file is loaded back as one shared
-    /// buffer, charged to the pool as external [`Component::Spill`]
-    /// memory, and mined zero-copy through [`CfpArray::from_bytes`]
-    /// (cfp_array::CfpArray::from_bytes) with a max-item range filter.
-    /// Oversized conditional arrays round-trip through the same spill
-    /// directory ([`CondSpill`]). A partition whose *conditional*
-    /// structures bust the budget has its buffered output discarded, its
-    /// file deleted, and its halves sent back through the spill phase.
-    ///
-    /// Exactness is the partition rung's Grahne & Zhu argument
-    /// unchanged: the on-disk detour is a checksummed identity
-    /// transformation of each partition's array. All spill state lives
-    /// in one [`SpillDir`] removed on every exit path; a worker panic is
-    /// contained to a structured [`CfpError::WorkerPanic`].
-    #[allow(clippy::type_complexity)]
-    fn spill_rung(
+    /// Runs one ladder step into `sink` and records it in `report`:
+    /// every step but the first is a rung, announced in the trace and
+    /// reported.
+    fn run_step(
+        &self,
+        step: Step,
+        db: &TransactionDb,
+        min_support: u64,
+        start: Start,
+        sink: &mut dyn ItemsetSink,
+        report: &mut RecoveryReport,
+    ) -> Result<MineStats, CfpError> {
+        let rung = match step {
+            Step::First => None,
+            Step::Retry => Some(("retry", cfp_trace::Rung::Retry)),
+            Step::Degrade => Some(("degrade", cfp_trace::Rung::Degrade)),
+            Step::Partitioned if self.policy == RecoveryPolicy::Spill => {
+                Some(("spill", cfp_trace::Rung::Spill))
+            }
+            Step::Partitioned => Some(("partition", cfp_trace::Rung::Partition)),
+        };
+        let _s = rung.map(|_| span(Phase::Recover));
+        if let Some((_, event)) = rung {
+            if cfp_trace::enabled() {
+                cfp_trace::counters::CORE_RECOVERY_RUNGS.inc();
+                if cfp_trace::events::capturing() {
+                    cfp_trace::events::record(cfp_trace::EventKind::RecoveryRung(event));
+                }
+            }
+        }
+        let mut tally = Tally::default();
+        let result = match step {
+            Step::Partitioned => self.partitioned(db, min_support, start, sink, &mut tally),
+            _ => self.monolithic(step, db, min_support, sink, &mut tally),
+        };
+        if let Some((name, _)) = rung {
+            report.rungs.push(RungReport {
+                rung: name,
+                succeeded: result.is_ok(),
+                reclaimed_bytes: tally.reclaimed,
+                partitions: tally.peaks.len() as u64,
+                error: result.as_ref().err().map(ToString::to_string),
+            });
+            if result.is_ok() {
+                report.recovered = true;
+                report.final_partitions = tally.peaks.len() as u64;
+                report.partition_peaks = tally.peaks;
+            }
+        }
+        result
+    }
+
+    /// One monolithic attempt: the first run, the retry or the degrade.
+    fn monolithic(
+        &self,
+        step: Step,
+        db: &TransactionDb,
+        min_support: u64,
+        sink: &mut dyn ItemsetSink,
+        tally: &mut Tally,
+    ) -> Result<MineStats, CfpError> {
+        let pool = self.mem_budget.map(BudgetPool::new);
+        let exec = Exec {
+            workers: if step == Step::Degrade { 1 } else { self.threads },
+            single_path_opt: true,
+            tree_budget: None,
+            worker_timeout: self.worker_timeout,
+            opts: MineOpts {
+                pool: pool.clone(),
+                compact_on_pressure: step != Step::First,
+                cancel: self.cancel.clone(),
+                output: self.output,
+                ..Default::default()
+            },
+        };
+        let result = exec.run(Source::Db(db), min_support, sink);
+        tally.reclaimed = pool.map_or(0, |p| p.compact_reclaimed());
+        result
+    }
+
+    /// The partitioned rung, streaming into `sink`: project each queued
+    /// item range, build and convert it under a fresh budget pool, hand
+    /// the array to the store, and mine stored partitions one at a time
+    /// with one worker through a max-item range filter.
+    fn partitioned(
         &self,
         db: &TransactionDb,
         min_support: u64,
-        cause: &CfpError,
-        mut stream: Option<&mut dyn ItemsetSink>,
-        resume: Option<(u64, Vec<(u32, u32)>)>,
-    ) -> Result<(MineStats, u64, u64, Vec<u64>, CollectSink), (CfpError, u64, u64)> {
+        start: Start,
+        sink: &mut dyn ItemsetSink,
+        tally: &mut Tally,
+    ) -> Result<MineStats, CfpError> {
         let recoder = ItemRecoder::scan(db, min_support);
         let n = recoder.num_items();
         if n == 0 {
-            return Ok((MineStats::default(), 0, 0, Vec::new(), CollectSink::new()));
+            // Nothing frequent: the empty result is exact.
+            return Ok(MineStats::default());
         }
+        // Condensed modes mine locally condensed partitions in
+        // descending range order — the one-worker top-item order — and
+        // reconcile across partitions; top-k mines every partition in
+        // full and selects the winners at the end.
         let condensed = self.output.is_condensed();
-        let proj_output = match self.output {
+        let part_output = match self.output {
             OutputMode::TopK(_) => OutputMode::All,
             other => other,
         };
-        // Cross-partition reconciliation state: condensed candidates are
-        // checked (then inserted) in descending-range order, so every
-        // possible subsumer is already indexed; top-k offers accumulate
-        // into one global heap drained after the last partition.
-        let mut recon = condensed.then(SubsumeIndex::default);
-        let topk_state = match self.output {
+        let mut reconcile = Reconcile::new(self.output);
+        let topk = match self.output {
             OutputMode::TopK(k) => Some(TopKState::new(k)),
             _ => None,
         };
-        let k0 = match *cause {
-            CfpError::MemoryExhausted { footprint, limit, .. } if limit > 0 => {
-                (2 * footprint).div_ceil(limit).max(2) as usize
-            }
-            _ => 2,
-        };
-        let done0 = resume.as_ref().map(|(done, _)| *done).unwrap_or(0);
-        let parent = self.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
-        let dir = match SpillDir::create(&parent) {
-            Ok(d) => Arc::new(d),
-            Err(e) => {
-                return Err((
-                    CfpError::Spill {
-                        op: "write",
-                        path: parent.display().to_string(),
-                        message: e.to_string(),
-                    },
-                    0,
-                    0,
-                ))
-            }
-        };
+        let mut store = Store::open(self.policy, &self.spill_dir)?;
         // Conditional arrays above a quarter of the budget follow the
         // partitions to disk; without a budget nothing is oversized.
-        let cond_spill = self.mem_budget.map(|b| CondSpill::new(Arc::clone(&dir), (b / 4).max(1)));
-
-        let mut ranges: VecDeque<(u32, u32)> = match resume {
-            Some((_, remaining)) => remaining.into(),
-            None => {
-                let mut r: VecDeque<(u32, u32)> = ranges_by_mass(&recoder, k0.min(n)).into();
-                if condensed {
-                    // Highest ranges first: the sequential top-item order,
-                    // which makes the per-partition reconcile exact.
-                    r.make_contiguous().reverse();
-                }
-                r
+        let cond_spill = match &store {
+            Store::Disk { dir, .. } => {
+                self.mem_budget.map(|b| CondSpill::new(Arc::clone(dir), (b / 4).max(1)))
             }
+            Store::Memory => None,
         };
-        let mut entries: VecDeque<SpillEntry> = VecDeque::new();
-        let mut buf = CollectSink::new();
+        let (done0, mut ranges): (u64, VecDeque<(u32, u32)>) = match start {
+            Start::Split(k) => {
+                let mut ranges: VecDeque<(u32, u32)> = ranges_by_mass(&recoder, k.min(n)).into();
+                if condensed {
+                    ranges.make_contiguous().reverse();
+                }
+                (0, ranges)
+            }
+            Start::Resume { done, remaining } => (done, remaining.into()),
+        };
+        let mut parts: VecDeque<Part> = VecDeque::new();
         let mut stats = MineStats::default();
-        let mut peaks: Vec<u64> = Vec::new();
-        let mut reclaimed = 0u64;
-        let mut mined = 0u64;
         let mut emitted = 0u64;
-        let mut seq = 0u64;
         loop {
-            // Spill phase: write every queued range's array to disk.
+            // Build: project, build and convert queued ranges into the
+            // store. The memory store hands each array straight to the
+            // mine loop below; the disk store spills them all first.
             while let Some((lo, hi)) = ranges.pop_front() {
                 if self.cancelled() {
-                    return Err((CfpError::Interrupted, mined, reclaimed));
+                    return Err(CfpError::Interrupted);
                 }
                 let proj_t0 = cfp_trace::hist::maybe_now();
-                let proj = project(db, &recoder, lo, hi);
                 let pool = self.mem_budget.map(BudgetPool::new);
-                let built = crate::growth::try_build_tree_with(
-                    &proj,
-                    min_support,
-                    cfp_memman::ArenaOptions {
-                        budget: None,
-                        pool: pool.clone(),
-                        compact_on_pressure: true,
-                        component: Component::BuildTree,
-                    },
-                );
-                if let Some(p) = &pool {
-                    reclaimed += p.compact_reclaimed();
-                }
-                match built {
-                    Ok((proj_recoder, tree)) => {
-                        stats.tree_nodes += tree.num_nodes();
-                        let array = convert(&tree);
-                        drop(tree);
-                        let globals: Vec<Item> = (0..proj_recoder.num_items() as u32)
-                            .map(|i| proj_recoder.original(i))
-                            .collect();
+                let arena = ArenaOptions {
+                    budget: None,
+                    pool: pool.clone(),
+                    compact_on_pressure: true,
+                    component: Component::BuildTree,
+                };
+                let proj = project(db, &recoder, lo, hi);
+                match prepare(Source::Db(&proj), min_support, arena, &mut stats) {
+                    Ok(prepared) => {
                         cfp_trace::hist::record_since(
                             &cfp_trace::hist::CORE_SPILL_PROJECT_NANOS,
                             proj_t0,
                         );
-                        let name = format!("p{seq}.cfpa");
-                        seq += 1;
-                        let bytes = write_spill_array(&dir.file(&name), &array)
-                            .map_err(|e| (e, mined, reclaimed))?;
-                        entries.push_back(SpillEntry { name, lo, hi, globals, bytes });
-                        if cfp_trace::enabled() {
-                            // Live denominator for the progress
-                            // heartbeat's `spill k/n` (grows when a
-                            // too-big partition is halved and respilled).
-                            cfp_trace::counters::CORE_SPILL_PARTITIONS.record(seq);
+                        parts.push_back(Part { lo, hi, data: store.put(prepared)?, pool });
+                        if matches!(store, Store::Memory) {
+                            break;
                         }
                     }
                     Err(CfpError::MemoryExhausted { .. }) if hi - lo > 1 => {
-                        let mid = lo + (hi - lo) / 2;
-                        if condensed {
-                            ranges.push_front((lo, mid));
-                            ranges.push_front((mid, hi));
-                        } else {
-                            ranges.push_front((mid, hi));
-                            ranges.push_front((lo, mid));
-                        }
+                        // Too big even projected: split it in place.
+                        tally.reclaimed += pool.map_or(0, |p| p.compact_reclaimed());
+                        split(&mut ranges, lo, hi, condensed);
                     }
-                    Err(e) => return Err((e, mined, reclaimed)),
+                    Err(e) => return Err(e),
                 }
             }
             if condensed {
-                // A mine-phase halving re-enters the spill phase and
-                // appends its halves behind pending entries; restore the
-                // strict descending-range mining order the reconcile
-                // relies on (already-mined partitions all sit above any
-                // requeued half, so the global order stays descending).
-                entries.make_contiguous().sort_by_key(|e| std::cmp::Reverse(e.lo));
+                // Highest ranges first: the one-worker top-item order the
+                // reconcile relies on. (Halves of a split partition were
+                // built behind the partitions still stored.)
+                parts.make_contiguous().sort_by_key(|p| Reverse(p.lo));
             }
-            // Mine phase: load each file back and mine it zero-copy.
-            // Output goes through a per-partition buffer so a halved
-            // failure simply drops its partial output, and a streaming
-            // caller only ever sees whole partitions.
-            while let Some(entry) = entries.pop_front() {
+            // Mine: each stored partition, one at a time, through a
+            // per-partition buffer, so a halved failure simply drops its
+            // partial output and the sink only ever sees whole
+            // partitions.
+            while let Some(Part { lo, hi, data, pool }) = parts.pop_front() {
                 if self.cancelled() {
-                    return Err((CfpError::Interrupted, mined, reclaimed));
+                    return Err(CfpError::Interrupted);
                 }
-                let SpillEntry { name, lo, hi, globals, bytes: _ } = &entry;
-                let path = dir.file(name);
-                let pool = self.mem_budget.map(BudgetPool::new);
-                let opts = MineOpts {
-                    pool: pool.clone(),
-                    compact_on_pressure: true,
-                    cond_spill: cond_spill.clone(),
-                    cancel: self.cancel.clone(),
-                    output: proj_output,
-                    ..Default::default()
+                let exec = Exec {
+                    workers: 1,
+                    single_path_opt: true,
+                    tree_budget: None,
+                    worker_timeout: None,
+                    opts: MineOpts {
+                        pool: pool.clone(),
+                        compact_on_pressure: true,
+                        cond_spill: cond_spill.clone(),
+                        cancel: self.cancel.clone(),
+                        resume_skip: 0,
+                        output: part_output,
+                    },
                 };
-                let mut part_buf = CollectSink::new();
+                let mut buf = CollectSink::new();
                 let mine_t0 = cfp_trace::hist::maybe_now();
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    if cfp_fault::should_fail("core.worker") {
-                        panic!("injected worker fault (failpoint core.worker)");
-                    }
-                    let (array, loaded_bytes) = load_spill_array(&path)?;
-                    let _spill_charge =
-                        ArrayCharge::with_component(pool.clone(), Component::Spill, loaded_bytes);
-                    let mut fsink = RangeFilterSink {
-                        inner: &mut part_buf,
-                        recoder: &recoder,
-                        lo: *lo,
-                        hi: *hi,
-                    };
-                    // A fresh local mode per partition: condensed
-                    // subsumption inside the partition is exact (the
-                    // projection preserves global supports), and cross-
-                    // partition false accepts are reconciled below.
-                    let mut mode = ModeCtx::new(proj_output);
-                    mine_loaded(
-                        &array,
-                        globals,
-                        min_support,
-                        self.single_path_opt,
-                        &mut fsink,
-                        &opts,
-                        &mut mode,
-                    )
-                }));
+                let mined = data.load(&pool).and_then(|prepared| {
+                    let mut filter = RangeFilterSink { inner: &mut buf, recoder: &recoder, lo, hi };
+                    exec.mine(prepared, min_support, &mut filter, MineStats::default())
+                });
                 cfp_trace::hist::record_since(&cfp_trace::hist::CORE_SPILL_MINE_NANOS, mine_t0);
-                if let Some(p) = &pool {
-                    reclaimed += p.compact_reclaimed();
-                }
-                match r {
-                    Ok(Ok(_)) => {
-                        dir.remove(name);
-                        mined += 1;
-                        if cfp_trace::enabled() {
-                            cfp_trace::counters::CORE_SPILL_PARTS_DONE.inc();
+                tally.reclaimed += pool.as_ref().map_or(0, |p| p.compact_reclaimed());
+                match mined {
+                    Ok(s) => {
+                        stats.mine_time += s.mine_time;
+                        tally.peaks.push(pool.map_or(s.peak_bytes, |p| p.peak()));
+                        if let Store::Disk { .. } = store {
+                            if cfp_trace::enabled() {
+                                cfp_trace::counters::CORE_SPILL_PARTS_DONE.inc();
+                            }
                         }
-                        peaks.push(pool.map(|p| p.peak()).unwrap_or(0));
-                        if let Some(index) = &mut recon {
+                        if let Some(rec) = &mut reconcile {
                             // Drop candidates subsumed by an earlier
                             // (higher-range) partition; survivors join
                             // the index for the partitions below.
-                            let by_support = self.output == OutputMode::Closed;
-                            part_buf.itemsets.retain(|(set, support)| {
-                                let want = by_support.then_some(*support);
-                                if index.subsumes(set, want) {
-                                    return false;
-                                }
-                                index.insert(set, *support);
-                                true
-                            });
+                            buf.itemsets.retain(|(set, support)| rec.admit(set, *support));
                         }
-                        if let Some(state) = &topk_state {
-                            // Winners drain once the global set is final.
-                            for (set, support) in &part_buf.itemsets {
-                                state.offer(set, *support);
+                        if let Some(state) = &topk {
+                            for (set, support) in buf.itemsets.drain(..) {
+                                state.offer(&set, support);
                             }
-                            part_buf.itemsets.clear();
                         }
-                        emitted += part_buf.itemsets.len() as u64;
-                        match &mut stream {
-                            Some(sink) => {
-                                for (itemset, support) in &part_buf.itemsets {
-                                    sink.emit(itemset, *support);
-                                }
-                                let remaining: Vec<(u32, u32)> = entries
-                                    .iter()
-                                    .map(|e| (e.lo, e.hi))
-                                    .chain(ranges.iter().copied())
-                                    .collect();
-                                let emit_t0 = cfp_trace::hist::maybe_now();
-                                let sent = sink.progress(cfp_data::MineProgress::SpillParts {
-                                    done: done0 + mined,
-                                    remaining: &remaining,
-                                });
-                                cfp_trace::hist::record_since(
-                                    &cfp_trace::hist::CORE_EMIT_NANOS,
-                                    emit_t0,
-                                );
-                                if let Err(e) = sent {
-                                    return Err((e, mined, reclaimed));
-                                }
-                            }
-                            None => buf.itemsets.append(&mut part_buf.itemsets),
+                        emitted += buf.itemsets.len() as u64;
+                        for (itemset, support) in &buf.itemsets {
+                            sink.emit(itemset, *support);
                         }
+                        let remaining: Vec<(u32, u32)> = parts
+                            .iter()
+                            .map(|p| (p.lo, p.hi))
+                            .chain(ranges.iter().copied())
+                            .collect();
+                        let emit_t0 = cfp_trace::hist::maybe_now();
+                        let sent = sink.progress(cfp_data::MineProgress::SpillParts {
+                            done: done0 + tally.peaks.len() as u64,
+                            remaining: &remaining,
+                        });
+                        cfp_trace::hist::record_since(&cfp_trace::hist::CORE_EMIT_NANOS, emit_t0);
+                        sent?;
                     }
-                    Ok(Err(CfpError::MemoryExhausted { .. })) if hi - lo > 1 => {
+                    Err(CfpError::MemoryExhausted { .. }) if hi - lo > 1 => {
                         // Conditional structures still too big: drop the
-                        // partial output with its buffer, drop the file,
-                        // and send both halves back through the spill
-                        // phase.
-                        dir.remove(name);
-                        let mid = lo + (hi - lo) / 2;
-                        ranges.push_back((*lo, mid));
-                        ranges.push_back((mid, *hi));
+                        // partial output with its buffer and split the
+                        // range; its halves are built next.
+                        split(&mut ranges, lo, hi, condensed);
+                        break;
                     }
-                    Ok(Err(e)) => return Err((e, mined, reclaimed)),
-                    Err(payload) => {
-                        if cfp_trace::enabled() {
-                            cfp_trace::counters::CORE_WORKER_PANICS.inc();
-                        }
-                        return Err((
-                            CfpError::WorkerPanic {
-                                worker: 0,
-                                message: crate::parallel::panic_message(&*payload),
-                            },
-                            mined,
-                            reclaimed,
-                        ));
-                    }
+                    Err(e) => return Err(e),
                 }
             }
-            if ranges.is_empty() {
+            if ranges.is_empty() && parts.is_empty() {
                 break;
             }
         }
-        if let Some(state) = &topk_state {
+        if let Some(state) = &topk {
             let winners = state.drain_sorted();
             emitted += winners.len() as u64;
-            match &mut stream {
-                Some(sink) => {
-                    for (set, support) in &winners {
-                        sink.emit(set, *support);
-                    }
-                }
-                None => buf.itemsets.extend(winners),
+            for (set, support) in &winners {
+                sink.emit(set, *support);
             }
         }
         if cfp_trace::enabled() {
-            cfp_trace::counters::CORE_SPILL_PARTITIONS.record(mined);
+            cfp_trace::counters::CORE_PARTITIONS.record(tally.peaks.len() as u64);
         }
         stats.itemsets = emitted;
-        stats.peak_bytes = peaks.iter().copied().max().unwrap_or(0);
-        stats.worker_peaks = peaks.clone();
-        Ok((stats, mined, reclaimed, peaks, buf))
+        stats.peak_bytes = tally.peaks.iter().copied().max().unwrap_or(0);
+        stats.worker_peaks = tally.peaks.clone();
+        Ok(stats)
     }
 }
 
-/// One partition's spill file, between the spill and mine phases.
-struct SpillEntry {
-    /// File name inside the run's [`SpillDir`].
-    name: String,
-    /// Global recoded item range `[lo, hi)` this partition covers.
+/// Splits a range too big for the budget in place: its halves go to the
+/// front of the queue, the higher one first when the output is
+/// condensed (`descending`).
+fn split(ranges: &mut VecDeque<(u32, u32)>, lo: u32, hi: u32, descending: bool) {
+    let mid = lo + (hi - lo) / 2;
+    let (first, second) = if descending { ((mid, hi), (lo, mid)) } else { ((lo, mid), (mid, hi)) };
+    ranges.push_front(second);
+    ranges.push_front(first);
+}
+
+/// Where the partitioned rung keeps converted partition arrays until
+/// they are mined.
+enum Store {
+    /// In memory: each array is mined as soon as it is converted.
+    Memory,
+    /// On disk: each array round-trips through a checksummed CFPA spill
+    /// file in the run's [`SpillDir`], removed on every exit path.
+    Disk {
+        dir: Arc<SpillDir>,
+        /// Files written so far (names the next one).
+        written: u64,
+    },
+}
+
+/// A stored partition's array.
+enum Stored {
+    /// The converted array itself.
+    Memory(Prepared),
+    /// A spill file plus the item mapping captured at build time (the
+    /// database is not consulted again to mine it).
+    Disk { dir: Arc<SpillDir>, name: String, globals: Arc<[Item]> },
+}
+
+/// One partition between its build and its mining.
+struct Part {
+    /// Global recoded item range `[lo, hi)` the partition covers.
     lo: u32,
     /// Exclusive upper bound of the range.
     hi: u32,
-    /// The projection's local-id → original-item map, captured at build
-    /// time (the database is not consulted again during the mine phase).
-    globals: Vec<Item>,
-    /// On-disk byte size (recorded for reporting; the mine phase charges
-    /// the actual loaded size).
-    #[allow(dead_code)]
-    bytes: u64,
+    data: Stored,
+    /// The partition's budget pool, shared by its build and its mining.
+    pool: Option<BudgetPool>,
 }
 
-fn rung_started(rung: cfp_trace::Rung) {
-    if cfp_trace::enabled() {
-        cfp_trace::counters::CORE_RECOVERY_RUNGS.inc();
-        if cfp_trace::events::capturing() {
-            cfp_trace::events::record(cfp_trace::EventKind::RecoveryRung(rung));
+impl Store {
+    /// The store `policy` selects; the disk store creates its directory
+    /// under `parent` (the system temp directory when unset).
+    fn open(policy: RecoveryPolicy, parent: &Option<PathBuf>) -> Result<Store, CfpError> {
+        if policy != RecoveryPolicy::Spill {
+            return Ok(Store::Memory);
+        }
+        let parent = parent.clone().unwrap_or_else(std::env::temp_dir);
+        match SpillDir::create(&parent) {
+            Ok(dir) => Ok(Store::Disk { dir: Arc::new(dir), written: 0 }),
+            Err(e) => Err(CfpError::Spill {
+                op: "write",
+                path: parent.display().to_string(),
+                message: e.to_string(),
+            }),
         }
     }
-}
 
-fn flush(buf: CollectSink, sink: &mut dyn ItemsetSink) {
-    for (itemset, support) in &buf.itemsets {
-        sink.emit(itemset, *support);
-    }
-}
-
-/// Post-processes a partitioned rung's buffered output for the run's
-/// output mode. Condensed modes replay the buffer — accumulated in
-/// descending range order — against one global subsumption index,
-/// dropping candidates whose subsumer lives in an earlier (higher)
-/// partition; same-partition subsumption was already handled by that
-/// partition's local index. Top-k replaces the buffer with the k
-/// best-supported itemsets under the deterministic (support desc, set
-/// lex asc) order.
-fn finalize_output(output: OutputMode, buf: &mut CollectSink) {
-    match output {
-        OutputMode::All => {}
-        OutputMode::Closed | OutputMode::Maximal => {
-            let closed = output == OutputMode::Closed;
-            let mut index = SubsumeIndex::default();
-            buf.itemsets.retain(|(set, support)| {
-                let want = if closed { Some(*support) } else { None };
-                if index.subsumes(set, want) {
-                    return false;
+    /// Keeps a converted partition until it is mined.
+    fn put(&mut self, prepared: Prepared) -> Result<Stored, CfpError> {
+        match self {
+            Store::Memory => Ok(Stored::Memory(prepared)),
+            Store::Disk { dir, written } => {
+                let name = format!("p{written}.cfpa");
+                *written += 1;
+                write_spill_array(&dir.file(&name), &prepared.array)?;
+                if cfp_trace::enabled() {
+                    // Live denominator for the progress heartbeat's
+                    // `spill k/n` (grows when a partition is halved).
+                    cfp_trace::counters::CORE_SPILL_PARTITIONS.record(*written);
                 }
-                index.insert(set, *support);
-                true
-            });
-        }
-        OutputMode::TopK(k) => {
-            let state = TopKState::new(k);
-            for (set, support) in &buf.itemsets {
-                state.offer(set, *support);
+                Ok(Stored::Disk { dir: Arc::clone(dir), name, globals: prepared.globals })
             }
-            buf.itemsets = state.drain_sorted();
         }
     }
 }
 
-/// Drops buffered itemsets whose maximal recoded item lies in `[lo, hi)`
-/// — used to undo the partial output of a failed partition attempt
-/// before the halved ranges re-mine it.
-fn retract_range(buf: &mut CollectSink, recoder: &ItemRecoder, lo: u32, hi: u32) {
-    buf.itemsets.retain(|(itemset, _)| {
-        let max = itemset.iter().filter_map(|&it| recoder.recode(it)).max();
-        !matches!(max, Some(m) if lo <= m && m < hi)
-    });
+impl Stored {
+    /// Takes a stored partition back for mining. A spill file is read
+    /// as one shared buffer — attributed to `pool` as external
+    /// [`Component::Spill`] memory — and removed.
+    fn load(self, pool: &Option<BudgetPool>) -> Result<Prepared, CfpError> {
+        match self {
+            Stored::Memory(prepared) => Ok(prepared),
+            Stored::Disk { dir, name, globals } => {
+                let loaded = load_spill_array(&dir.file(&name));
+                dir.remove(&name);
+                let (array, bytes) = loaded?;
+                let charge = ArrayCharge::with_component(pool.clone(), Component::Spill, bytes);
+                Ok(Prepared::new(Arc::new(array), globals, charge))
+            }
+        }
+    }
 }
 
 /// Forwards only itemsets whose *maximal* global-recoded item falls in
-/// `[lo, hi)` — the disjointness filter of the partition rung.
+/// `[lo, hi)` — the disjointness filter of the partitioned rung.
 struct RangeFilterSink<'a> {
     inner: &'a mut CollectSink,
     recoder: &'a ItemRecoder,
@@ -1028,7 +718,8 @@ impl ItemsetSink for RangeFilterSink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfp_data::miner::CollectSink;
+    use crate::CfpGrowthMiner;
+    use cfp_data::Miner;
 
     fn textbook() -> TransactionDb {
         TransactionDb::from_rows(&[
@@ -1215,7 +906,7 @@ mod tests {
             ..Supervisor::new(RecoveryPolicy::Spill)
         };
         let mut sink = CollectSink::new();
-        let (r, report) = sup.mine_out_of_core(&db, 2, &mut sink);
+        let (r, report) = sup.mine_out_of_core(&db, 2, &mut sink, None);
         let stats = r.expect("out-of-core run");
         assert!(report.recovered);
         assert_eq!(report.rungs.len(), 1);
@@ -1243,7 +934,7 @@ mod tests {
             ..Supervisor::new(RecoveryPolicy::Spill)
         };
         let mut sink = CollectSink::new();
-        let (r, report) = sup.mine_out_of_core(&db, 2, &mut sink);
+        let (r, report) = sup.mine_out_of_core(&db, 2, &mut sink, None);
         r.expect("halving must make every partition fit");
         for (i, peak) in report.partition_peaks.iter().enumerate() {
             assert!(peak <= &budget, "partition {i} peak {peak} over budget {budget}");
@@ -1260,7 +951,7 @@ mod tests {
             ..Supervisor::new(RecoveryPolicy::Spill)
         };
         let mut sink = CollectSink::new();
-        let (r, report) = sup.mine_out_of_core(&TransactionDb::new(), 1, &mut sink);
+        let (r, report) = sup.mine_out_of_core(&TransactionDb::new(), 1, &mut sink, None);
         let stats = r.expect("empty run");
         assert_eq!(stats.itemsets, 0);
         assert_eq!(report.final_partitions, 0);
@@ -1349,7 +1040,7 @@ mod tests {
         };
         let mut sink =
             MarkingSink { inner: CollectSink::new(), marks: Vec::new(), cancel_after: None };
-        let (r, report) = sup.mine_out_of_core_resumable(&db, 3, &mut sink, None);
+        let (r, report) = sup.mine_out_of_core(&db, 3, &mut sink, None);
         let stats = r.expect("streaming run");
         assert!(report.final_partitions >= 2);
         assert_eq!(stats.itemsets, sink.inner.itemsets.len() as u64);
@@ -1376,12 +1067,12 @@ mod tests {
         };
         let mut full =
             MarkingSink { inner: CollectSink::new(), marks: Vec::new(), cancel_after: None };
-        sup.mine_out_of_core_resumable(&db, 3, &mut full, None).0.expect("full run");
+        sup.mine_out_of_core(&db, 3, &mut full, None).0.expect("full run");
         assert!(full.marks.len() >= 2, "need at least two partitions to test resume");
         for (done, remaining, prefix_len) in &full.marks {
             let mut resumed =
                 MarkingSink { inner: CollectSink::new(), marks: Vec::new(), cancel_after: None };
-            sup.mine_out_of_core_resumable(&db, 3, &mut resumed, Some((*done, remaining.clone())))
+            sup.mine_out_of_core(&db, 3, &mut resumed, Some((*done, remaining.clone())))
                 .0
                 .expect("resumed run");
             let mut joined = full.inner.itemsets[..*prefix_len].to_vec();
@@ -1412,7 +1103,7 @@ mod tests {
             marks: Vec::new(),
             cancel_after: Some((1, token)),
         };
-        let (r, _) = sup.mine_out_of_core_resumable(&db, 3, &mut first, None);
+        let (r, _) = sup.mine_out_of_core(&db, 3, &mut first, None);
         let err = r.expect_err("the token fires after the first partition");
         assert_eq!(err.exit_code(), 8, "unexpected failure: {err}");
         let (done, remaining, prefix_len) = first.marks.last().unwrap().clone();
@@ -1425,7 +1116,7 @@ mod tests {
         };
         let mut rest =
             MarkingSink { inner: CollectSink::new(), marks: Vec::new(), cancel_after: None };
-        sup.mine_out_of_core_resumable(&db, 3, &mut rest, Some((done, remaining)))
+        sup.mine_out_of_core(&db, 3, &mut rest, Some((done, remaining)))
             .0
             .expect("resume after interruption");
         let mut joined = first.inner.itemsets;

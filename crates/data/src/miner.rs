@@ -281,10 +281,8 @@ pub struct MineStats {
     /// Per-worker peak bytes of conditional structures (empty for
     /// sequential miners; one entry per worker thread otherwise).
     pub worker_peaks: Vec<u64>,
-    /// First-level item tasks each worker processed (empty for
-    /// sequential miners). Under a static schedule the counts are fixed
-    /// by the round-robin deal; under a dynamic schedule they reflect
-    /// what each worker actually claimed.
+    /// First-level item tasks each worker claimed and processed (empty
+    /// for sequential miners).
     pub worker_tasks: Vec<u64>,
     /// Summed estimated cost (encoded subarray bytes) of the tasks each
     /// worker processed (empty for sequential miners). The max/min ratio

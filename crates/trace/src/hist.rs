@@ -242,8 +242,8 @@ pub struct HistSummary {
 // Static registry
 // ---------------------------------------------------------------------------
 
-/// Per-task mine latency: one top-level item mined to completion
-/// (sequential `mine_array` top loop and parallel `mine_one_item`).
+/// Per-task mine latency: one first-level item mined to completion, on
+/// any worker (`cfp-core`'s `mine_item`).
 pub static CORE_MINE_TASK_NANOS: LatencyHisto = LatencyHisto::new("core.mine_task_nanos");
 /// Per-watermark emit latency: duration of a `sink.progress(..)` call
 /// (includes checkpoint commit when a `CheckpointSink` is attached).

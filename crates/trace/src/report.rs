@@ -71,9 +71,9 @@ pub struct RunReport {
     pub algorithm: String,
     /// Worker threads (1 = sequential).
     pub threads: u64,
-    /// Mine-phase schedule of a parallel run (`"static"` or
-    /// `"dynamic"`); absent for sequential runs and non-cfp algorithms
-    /// (additive to the `cfp-profile/1` schema).
+    /// Mine-phase schedule of a parallel run (`"dynamic"`; reports from
+    /// older builds may also say `"static"`); absent for sequential runs
+    /// and non-cfp algorithms (additive to the `cfp-profile/1` schema).
     pub schedule: Option<String>,
     /// Frequent itemsets found.
     pub itemsets: u64,

@@ -6,8 +6,8 @@
 //!
 //! 1. **Spill interrupt–resume differential** — the out-of-core rung is
 //!    cancelled after a seed-derived number of completed partitions and
-//!    resumed via [`Supervisor::mine_out_of_core_resumable`] from the
-//!    watermark a checkpointing sink would have committed. The
+//!    resumed via [`Supervisor::mine_out_of_core`] from the watermark a
+//!    checkpointing sink would have committed. The
 //!    concatenated streams must equal the uninterrupted run exactly.
 //! 2. **Manifest fuzz** — seeded random truncations and byte flips of a
 //!    saved manifest must either be rejected by the strict loader or
@@ -95,7 +95,8 @@ fn spill_interrupt_resume_is_exact_across_seeds() {
 
         // Uninterrupted reference (spill rung, same configuration).
         let mut reference = CollectSink::new();
-        let (r, _) = spill_supervisor(&parent, None).mine_out_of_core(&db, minsup, &mut reference);
+        let (r, _) =
+            spill_supervisor(&parent, None).mine_out_of_core(&db, minsup, &mut reference, None);
         if let Err(e) = r {
             failures.push(format!("seed {seed}: reference spill run failed with {e}"));
             continue;
@@ -110,8 +111,8 @@ fn spill_interrupt_resume_is_exact_across_seeds() {
             stop_at,
             watermarks: Vec::new(),
         };
-        let (first, _) = spill_supervisor(&parent, Some(token))
-            .mine_out_of_core_resumable(&db, minsup, &mut sink, None);
+        let (first, _) =
+            spill_supervisor(&parent, Some(token)).mine_out_of_core(&db, minsup, &mut sink, None);
         match first {
             Ok(_) => {
                 if sink.inner.itemsets != reference.itemsets {
@@ -134,7 +135,7 @@ fn spill_interrupt_resume_is_exact_across_seeds() {
                 // Resume re-projects the surviving ranges from the
                 // database — exactly what a post-crash run does.
                 let mut resumed = CollectSink::new();
-                let (second, _) = spill_supervisor(&parent, None).mine_out_of_core_resumable(
+                let (second, _) = spill_supervisor(&parent, None).mine_out_of_core(
                     &db,
                     minsup,
                     &mut resumed,

@@ -129,11 +129,11 @@ fn every_frequent_itemset_is_covered_by_a_maximal_itemset() {
     }
 }
 
-/// Out-of-core condensed mining: the spill rung mines each partition
-/// with exact global supports, reconciles cross-partition subsumption
-/// in descending range order, and (for top-k) selects winners globally
-/// after all partitions — so its result must equal the in-memory
-/// engine's on every shape.
+/// Partitioned condensed mining, with the memory and the disk store:
+/// the partitioned rung mines each partition with exact global
+/// supports, reconciles cross-partition subsumption in descending range
+/// order, and (for top-k) selects winners globally after all partitions
+/// — so its result must equal the in-memory engine's on every shape.
 #[test]
 fn spill_rung_matches_in_memory_for_every_output_mode() {
     use cfp_core::{RecoveryPolicy, Supervisor};
@@ -142,30 +142,36 @@ fn spill_rung_matches_in_memory_for_every_output_mode() {
         let (db, minsup) = generate(seed);
         for output in [OutputMode::Closed, OutputMode::Maximal, OutputMode::TopK(6)] {
             let want = mine_mode(&db, minsup, output);
-            let parent = std::env::temp_dir()
-                .join(format!("cfp-condensed-spill-{}-{seed}-{output}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&parent);
-            let sup = Supervisor {
-                spill_dir: Some(parent.clone()),
-                output,
-                ..Supervisor::new(RecoveryPolicy::Spill)
-            };
-            let mut sink = CollectSink::new();
-            let (r, report) = sup.mine_out_of_core(&db, minsup, &mut sink);
-            r.unwrap_or_else(|e| panic!("seed {seed} {output}: spill mining failed: {e}"));
-            if report.final_partitions >= 2 {
-                multi_partition += 1;
-            }
-            let _ = std::fs::remove_dir_all(&parent);
-            if matches!(output, OutputMode::TopK(_)) {
-                // Global top-k selection drains in deterministic order.
-                assert_eq!(sink.itemsets, want, "seed {seed} {output}");
-            } else {
-                let mut got = sink.itemsets;
-                let mut want = want;
-                got.sort();
-                want.sort();
-                assert_eq!(got, want, "seed {seed} {output}");
+            for policy in [RecoveryPolicy::Partition, RecoveryPolicy::Spill] {
+                let parent = std::env::temp_dir().join(format!(
+                    "cfp-condensed-spill-{}-{seed}-{output}-{}",
+                    std::process::id(),
+                    policy.name()
+                ));
+                let _ = std::fs::remove_dir_all(&parent);
+                let sup = Supervisor {
+                    spill_dir: Some(parent.clone()),
+                    output,
+                    ..Supervisor::new(policy)
+                };
+                let mut sink = CollectSink::new();
+                let (r, report) = sup.mine_out_of_core(&db, minsup, &mut sink, None);
+                let cell = format!("seed {seed} {output} {}", policy.name());
+                r.unwrap_or_else(|e| panic!("{cell}: partitioned mining failed: {e}"));
+                if report.final_partitions >= 2 {
+                    multi_partition += 1;
+                }
+                let _ = std::fs::remove_dir_all(&parent);
+                if matches!(output, OutputMode::TopK(_)) {
+                    // Global top-k selection drains in deterministic order.
+                    assert_eq!(sink.itemsets, want, "{cell}");
+                } else {
+                    let mut got = sink.itemsets;
+                    let mut want = want.clone();
+                    got.sort();
+                    want.sort();
+                    assert_eq!(got, want, "{cell}");
+                }
             }
         }
     }

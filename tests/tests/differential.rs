@@ -4,10 +4,11 @@
 //! density, Zipf item-popularity skew, and degenerate edge shapes (empty
 //! database, single-item transactions, all-identical rows). On every
 //! seed, every configuration of the CFP-growth pipeline — sequential,
-//! and parallel under both the static and the dynamic schedule at 1, 2,
-//! and 8 threads — must produce exactly the itemsets the apriori and
-//! eclat oracles produce. The dynamic schedule must additionally match
-//! the sequential miner's raw emission order, not just the same set.
+//! parallel at 1, 2, and 8 threads, and the partitioned rung with its
+//! memory and its disk store — must produce exactly the itemsets the
+//! apriori and eclat oracles produce. The parallel runs must additionally
+//! match the sequential miner's raw emission order, not just the same
+//! set.
 //!
 //! Failures are collected across the whole seed range and reported with
 //! the smallest failing seed and a diff summary, so a regression
@@ -18,7 +19,7 @@
 //! singleton, uniform, and heavy-tailed regimes.
 
 use cfp_baselines::{AprioriMiner, EclatMiner};
-use cfp_core::{CfpGrowthMiner, CollectSink, MineOpts, Miner, ParallelCfpGrowthMiner, Schedule};
+use cfp_core::{CfpGrowthMiner, CollectSink, MineOpts, Miner, ParallelCfpGrowthMiner};
 use cfp_data::rng::{Rng, StdRng};
 use cfp_data::zipf::Zipf;
 use cfp_data::{CfpError, Item, ItemsetSink, MineProgress, TransactionDb};
@@ -221,31 +222,28 @@ fn check_seed(seed: u64) -> Result<(), String> {
     problems.extend(diff_summary("eclat", &oracle, &eclat));
 
     // The sequential CFP miner's raw emission order is the determinism
-    // reference for the dynamic schedule.
+    // reference for the parallel runs.
     let seq_raw = mine_raw(&CfpGrowthMiner::new(), &case.db, case.minsup);
     problems.extend(diff_summary("cfp-sequential", &oracle, &sorted(seq_raw.clone())));
 
-    for schedule in [Schedule::Static, Schedule::Dynamic] {
-        for threads in [1usize, 2, 8] {
-            let miner = ParallelCfpGrowthMiner { schedule, ..ParallelCfpGrowthMiner::new(threads) };
-            let raw = mine_raw(&miner, &case.db, case.minsup);
-            let name = format!("cfp-parallel/{}x{threads}", schedule.name());
-            if schedule == Schedule::Dynamic && raw != seq_raw {
-                problems.push(format!(
-                    "{name}: emission order diverged from sequential ({} vs {} itemsets)",
-                    raw.len(),
-                    seq_raw.len()
-                ));
-            }
-            problems.extend(diff_summary(&name, &oracle, &sorted(raw)));
+    for threads in [1usize, 2, 8] {
+        let raw = mine_raw(&ParallelCfpGrowthMiner::new(threads), &case.db, case.minsup);
+        let name = format!("cfp-parallel/dynamicx{threads}");
+        if raw != seq_raw {
+            problems.push(format!(
+                "{name}: emission order diverged from sequential ({} vs {} itemsets)",
+                raw.len(),
+                seq_raw.len()
+            ));
         }
+        problems.extend(diff_summary(&name, &oracle, &sorted(raw)));
     }
 
     // Interrupt at a seed-derived watermark, then resume: the
     // concatenated streams must equal the uninterrupted sequential
     // emission exactly, both for the sequential miner and for the
-    // parallel dynamic schedule (whose ordered emitter makes the same
-    // watermark guarantee).
+    // parallel miner (whose ordered emitter makes the same watermark
+    // guarantee).
     {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x00C0_FFEE);
         let stop_at = rng.gen_range(1u64..=6);
@@ -261,7 +259,6 @@ fn check_seed(seed: u64) -> Result<(), String> {
             "cfp-parallel/dynamicx4/interrupt",
             &|sink, opts| {
                 let miner = ParallelCfpGrowthMiner {
-                    schedule: Schedule::Dynamic,
                     cancel: opts.cancel,
                     resume_skip: opts.resume_skip,
                     ..ParallelCfpGrowthMiner::new(4)
@@ -274,26 +271,31 @@ fn check_seed(seed: u64) -> Result<(), String> {
         );
     }
 
-    // Out-of-core: the spill rung run directly must produce exactly the
-    // in-memory result on every shape — the disk round trip is an
-    // identity transformation of each partition's array.
-    {
+    // Partitioned: the rung run directly, with the memory store and with
+    // the disk store, must produce exactly the in-memory result on every
+    // shape — the store is the only difference between the two, and the
+    // disk round trip is an identity transformation of each partition's
+    // array.
+    for (name, policy) in [
+        ("cfp-partition", cfp_core::RecoveryPolicy::Partition),
+        ("cfp-spill", cfp_core::RecoveryPolicy::Spill),
+    ] {
         let parent = std::env::temp_dir()
-            .join(format!("cfp-differential-spill-{}-{seed}", std::process::id()));
+            .join(format!("cfp-differential-{name}-{}-{seed}", std::process::id()));
         let _ = std::fs::remove_dir_all(&parent);
         let sup = cfp_core::Supervisor {
             spill_dir: Some(parent.clone()),
-            ..cfp_core::Supervisor::new(cfp_core::RecoveryPolicy::Spill)
+            ..cfp_core::Supervisor::new(policy)
         };
         let mut sink = CollectSink::new();
-        let (r, _) = sup.mine_out_of_core(&case.db, case.minsup, &mut sink);
+        let (r, _) = sup.mine_out_of_core(&case.db, case.minsup, &mut sink, None);
         match r {
-            Ok(_) => problems.extend(diff_summary("cfp-spill", &oracle, &sorted(sink.itemsets))),
-            Err(e) => problems.push(format!("cfp-spill: failed with {e}")),
+            Ok(_) => problems.extend(diff_summary(name, &oracle, &sorted(sink.itemsets))),
+            Err(e) => problems.push(format!("{name}: failed with {e}")),
         }
         let leftovers = std::fs::read_dir(&parent).map(|it| it.count()).unwrap_or(0);
         if leftovers != 0 {
-            problems.push(format!("cfp-spill: {leftovers} stray entries left in {parent:?}"));
+            problems.push(format!("{name}: {leftovers} stray entries left in {parent:?}"));
         }
         let _ = std::fs::remove_dir_all(&parent);
     }
@@ -341,9 +343,8 @@ fn mine_seq_mode(
 /// Runs the condensed-output matrix on one seed: for each of closed,
 /// maximal, and a seed-derived topk:N, the sequential engine must match
 /// the post-hoc oracle (`cfp_rules::condensed` over the apriori full
-/// set), the parallel dynamic schedule must reproduce the sequential
-/// emission byte for byte at 1, 2, and 8 threads, and the static
-/// schedule must produce the same set.
+/// set), and the parallel miner must reproduce the sequential emission
+/// byte for byte at 1, 2, and 8 threads.
 fn check_seed_condensed(seed: u64) -> Result<(), String> {
     use cfp_core::OutputMode;
     let case = generate(seed);
@@ -377,11 +378,8 @@ fn check_seed_condensed(seed: u64) -> Result<(), String> {
         problems.extend(diff_summary(&name("seq"), oracle, &seq_cmp));
 
         for threads in [1usize, 2, 8] {
-            let miner = ParallelCfpGrowthMiner {
-                schedule: Schedule::Dynamic,
-                output: *output,
-                ..ParallelCfpGrowthMiner::new(threads)
-            };
+            let miner =
+                ParallelCfpGrowthMiner { output: *output, ..ParallelCfpGrowthMiner::new(threads) };
             let raw = mine_raw(&miner, &case.db, case.minsup);
             if raw != seq_raw {
                 problems.push(format!(
@@ -392,15 +390,6 @@ fn check_seed_condensed(seed: u64) -> Result<(), String> {
                 ));
             }
         }
-        let miner = ParallelCfpGrowthMiner {
-            schedule: Schedule::Static,
-            output: *output,
-            ..ParallelCfpGrowthMiner::new(4)
-        };
-        let raw = mine_raw(&miner, &case.db, case.minsup);
-        let raw_cmp = if matches!(output, OutputMode::TopK(_)) { raw } else { sorted(raw) };
-        problems.extend(diff_summary(&name("staticx4"), oracle, &raw_cmp));
-
         // Interrupt + resume keeps the condensed stream exact: the
         // resumed run silently re-derives the reconcile state for the
         // skipped prefix, so the concatenation must reproduce the
@@ -428,7 +417,6 @@ fn check_seed_condensed(seed: u64) -> Result<(), String> {
                 &name("dynamicx4/interrupt"),
                 &|sink, opts| {
                     let miner = ParallelCfpGrowthMiner {
-                        schedule: Schedule::Dynamic,
                         output: *output,
                         cancel: opts.cancel,
                         resume_skip: opts.resume_skip,

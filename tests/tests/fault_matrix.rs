@@ -316,7 +316,7 @@ fn injected_enospc_on_first_spill_write_is_structured_and_clean() {
 
     configure("data.spill.write", FaultMode::Nth(1));
     let mut sink = CountingSink::new();
-    let (result, report) = sup.mine_out_of_core(&db, 2, &mut sink);
+    let (result, report) = sup.mine_out_of_core(&db, 2, &mut sink, None);
     let err = result.expect_err("disk-full must fail the spill rung");
     assert_eq!(fired("data.spill.write"), 1);
     match &err {
@@ -334,7 +334,7 @@ fn injected_enospc_on_first_spill_write_is_structured_and_clean() {
     clear_all();
     let (parent, sup) = spill_setup("enospc-ok");
     let mut sink = CountingSink::new();
-    let (result, _) = sup.mine_out_of_core(&db, 2, &mut sink);
+    let (result, _) = sup.mine_out_of_core(&db, 2, &mut sink, None);
     result.expect("disarmed spill run");
     assert_eq!(sink.count, 13);
     assert_spill_dir_clean(&parent);
@@ -351,7 +351,7 @@ fn short_write_mid_partition_is_structured_and_clean() {
 
     configure("data.spill.write", FaultMode::Nth(2));
     let mut sink = CountingSink::new();
-    let (result, _) = sup.mine_out_of_core(&db, 2, &mut sink);
+    let (result, _) = sup.mine_out_of_core(&db, 2, &mut sink, None);
     let err = result.expect_err("second partition's write must fail");
     assert!(matches!(err, CfpError::Spill { op: "write", .. }), "{err:?}");
     assert_eq!(err.exit_code(), 7);
@@ -371,7 +371,7 @@ fn injected_spill_read_failure_is_structured_and_clean() {
 
     configure("data.spill.read", FaultMode::Nth(1));
     let mut sink = CountingSink::new();
-    let (result, _) = sup.mine_out_of_core(&db, 2, &mut sink);
+    let (result, _) = sup.mine_out_of_core(&db, 2, &mut sink, None);
     let err = result.expect_err("read fault must fail the mine phase");
     match &err {
         CfpError::Spill { op, message, .. } => {
@@ -396,7 +396,7 @@ fn torn_spill_read_is_caught_by_the_checksum() {
 
     configure("data.spill.map", FaultMode::Always);
     let mut sink = CountingSink::new();
-    let (result, _) = sup.mine_out_of_core(&db, 2, &mut sink);
+    let (result, _) = sup.mine_out_of_core(&db, 2, &mut sink, None);
     let err = result.expect_err("corrupt bytes must not mine");
     match &err {
         CfpError::Spill { op, message, .. } => {
@@ -421,7 +421,7 @@ fn worker_panic_in_the_spill_rung_still_cleans_the_directory() {
 
     configure("core.worker", FaultMode::Nth(1));
     let mut sink = CountingSink::new();
-    let (result, _) = sup.mine_out_of_core(&db, 2, &mut sink);
+    let (result, _) = sup.mine_out_of_core(&db, 2, &mut sink, None);
     let err = result.expect_err("armed worker must fail");
     assert!(matches!(err, CfpError::WorkerPanic { .. }), "{err:?}");
     assert_eq!(err.exit_code(), 5);
