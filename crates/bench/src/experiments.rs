@@ -472,7 +472,7 @@ pub fn parallel_scaling() -> Table {
 /// (item `i` to worker `i mod threads`), under the cost estimate the
 /// dynamic task queue sorts by: each item's encoded subarray bytes.
 pub fn round_robin_costs(db: &TransactionDb, minsup: u64, threads: usize) -> Vec<u64> {
-    let (_, tree) = cfp_core::build_tree(db, minsup);
+    let (_, tree) = cfp_core::try_build_tree(db, minsup, None).unwrap_or_else(|e| panic!("{e}"));
     let array = cfp_core::convert(&tree);
     let mut costs = vec![0u64; threads];
     for item in 0..array.num_items() as u32 {

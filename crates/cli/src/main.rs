@@ -108,8 +108,8 @@
 
 use cfp_core::{
     CfpGrowthMiner, CkptProgress, CollectSink, CountingSink, ItemsetSink, MineStats, Miner,
-    MiningImage, OutputMode, ParallelCfpGrowthMiner, RecoveryPolicy, RecoveryReport, Supervisor,
-    TopKSink, TransactionDb,
+    MiningImage, OutputMode, ParallelCfpGrowthMiner, RecoveryPolicy, RecoveryReport, Source,
+    Supervisor, TopKSink,
 };
 use cfp_data::{CfpError, ParsePolicy};
 use cfp_fault::EXIT_USAGE;
@@ -125,7 +125,7 @@ struct Options {
     algorithm: String,
     threads: usize,
     mem_budget: Option<u64>,
-    skip_bad_lines: bool,
+    policy: ParsePolicy,
     output: OutputMode,
     count_only: bool,
     top: Option<usize>,
@@ -216,7 +216,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         algorithm: "cfp".into(),
         threads: 1,
         mem_budget: None,
-        skip_bad_lines: false,
+        policy: ParsePolicy::Strict,
         output: OutputMode::All,
         count_only: false,
         top: None,
@@ -274,7 +274,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.threads = value(arg)?.parse().map_err(|_| "bad thread count".to_string())?;
             }
             "--mem-budget" => opts.mem_budget = Some(parse_bytes(&value(arg)?)?),
-            "--skip-bad-lines" => opts.skip_bad_lines = true,
+            "--skip-bad-lines" => opts.policy = ParsePolicy::Skip,
             "--output" => {
                 opts.output = value(arg)?.parse()?;
                 output_given = true;
@@ -491,11 +491,11 @@ fn baseline_by_name(opts: &Options) -> Result<Option<Box<dyn Miner>>, String> {
     Ok(Some(miner))
 }
 
-/// One run's mining driver — a baseline algorithm, or CFP-growth (the
-/// executor directly, or the supervisor's ladder under `--recover`) —
-/// plus the run-scoped state it mines with: the `--mem-report`
-/// attribution pool and the cancel token of `--deadline` and
-/// `--checkpoint-dir`.
+/// One run's mining driver — a baseline algorithm over its materialised
+/// database, or CFP-growth over the streamed source (the executor
+/// directly, or the supervisor's ladder under `--recover`) — plus the
+/// run-scoped state it mines with: the `--mem-report` attribution pool
+/// and the cancel token of `--deadline` and `--checkpoint-dir`.
 struct Run<'a> {
     opts: &'a Options,
     baseline: Option<Box<dyn Miner>>,
@@ -504,12 +504,12 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
-    /// Mines `db` into `sink`, from `resume` when a checkpoint supplied
-    /// one; a supervised run also yields its [`RecoveryReport`] for the
-    /// profile's degradation section.
+    /// Mines the input into `sink`, from `resume` when a checkpoint
+    /// supplied one; a supervised run also yields its [`RecoveryReport`]
+    /// for the profile's degradation section.
     fn mine(
         &self,
-        db: &TransactionDb,
+        source: &Source<'_>,
         min_support: u64,
         sink: &mut dyn ItemsetSink,
         resume: Option<CkptProgress>,
@@ -517,7 +517,12 @@ impl Run<'_> {
     ) -> Result<MineStats, CfpError> {
         let o = self.opts;
         if let Some(miner) = &self.baseline {
-            return miner.try_mine(db, min_support, sink);
+            // Only the baseline algorithms materialise the database.
+            let (db, _) = {
+                let _s = cfp_trace::span(cfp_trace::Phase::Read);
+                cfp_data::fimi::read_file_with_policy(&o.input, o.policy)?
+            };
+            return miner.try_mine(&db, min_support, sink);
         }
         if o.recover != RecoveryPolicy::Off {
             let supervisor = Supervisor {
@@ -539,9 +544,9 @@ impl Run<'_> {
                     }
                     _ => None,
                 };
-                supervisor.mine_out_of_core(db, min_support, sink, resume)
+                supervisor.mine_out_of_core(source, min_support, sink, resume)
             } else {
-                supervisor.mine(db, min_support, sink)
+                supervisor.mine(source, min_support, sink)
             };
             stash_blackbox_degradation(&report);
             *degradation = Some(report);
@@ -561,7 +566,7 @@ impl Run<'_> {
                 output: o.output,
                 ..ParallelCfpGrowthMiner::new(o.threads)
             };
-            miner.try_mine(db, min_support, sink)
+            miner.try_mine_source(source, min_support, sink)
         } else {
             let mine_opts = cfp_core::MineOpts {
                 pool: self.pool.clone(),
@@ -571,7 +576,7 @@ impl Run<'_> {
                 ..Default::default()
             };
             let miner = CfpGrowthMiner { single_path_opt: true, mem_budget: o.mem_budget };
-            miner.try_mine_with(db, min_support, sink, &mine_opts)
+            miner.try_mine_with(source, min_support, sink, &mine_opts)
         }
     }
 }
@@ -904,14 +909,14 @@ fn exit_for_mine_error(e: CfpError) -> ! {
 /// every error path; returns the run's stats on success.
 fn run_checkpointed(
     run: &Run<'_>,
-    db: &TransactionDb,
+    source: &Source<'_>,
     min_support: u64,
     degradation: &mut Option<RecoveryReport>,
 ) -> MineStats {
     use cfp_core::ckpt;
     let opts = run.opts;
     let dir = std::path::Path::new(opts.checkpoint_dir.as_deref().expect("checkpoint dir set"));
-    let recoder = cfp_core::ItemRecoder::scan(db, min_support);
+    let recoder = source.counts().unwrap_or_else(|e| exit_for_mine_error(e)).recoder(min_support);
     let counts = ckpt::counts_fingerprint(&recoder);
     let num_items = recoder.num_items() as u64;
     let spill_mode = opts.recover == RecoveryPolicy::Spill;
@@ -996,7 +1001,7 @@ fn run_checkpointed(
         last_committed: resume.as_ref().map_or(0, CkptProgress::done),
     };
 
-    let result = run.mine(db, min_support, &mut sink, resume, degradation);
+    let result = run.mine(source, min_support, &mut sink, resume, degradation);
     match result {
         Ok(stats) => {
             let flushed = sink.out.flush();
@@ -1125,39 +1130,36 @@ fn main() {
         .progress
         .then(|| cfp_trace::ProgressMeter::start(std::time::Duration::from_millis(200)));
 
-    let policy = if opts.skip_bad_lines { ParsePolicy::Skip } else { ParsePolicy::Strict };
-    let db: TransactionDb = {
-        let _s = cfp_trace::span(cfp_trace::Phase::Read);
-        match cfp_data::fimi::read_file_with_policy(&opts.input, policy) {
-            Ok((db, stats)) => {
-                if stats.skipped_lines > 0 {
-                    eprintln!(
-                        "warning: skipped {} malformed line(s) ({} bad token(s)) in {}",
-                        stats.skipped_lines, stats.bad_tokens, opts.input
-                    );
-                }
-                db
-            }
-            Err(CfpError::Io(e)) => {
-                eprintln!("cannot read {}: {e}", opts.input);
-                exit(1);
-            }
-            Err(e) => {
-                eprintln!("cfp-mine: {}: {e}", opts.input);
-                dump_blackbox(&format!("{}: {e}", opts.input), e.exit_code());
-                exit(e.exit_code());
-            }
+    // Pass 1 over the streamed input runs here (it resolves a relative
+    // support); every later consumer reuses its counts.
+    let source = Source::file(&opts.input, opts.policy);
+    let counts = match source.counts() {
+        Ok(counts) => counts,
+        Err(CfpError::Io(e)) => {
+            eprintln!("cannot read {}: {e}", opts.input);
+            exit(1);
+        }
+        Err(e) => {
+            eprintln!("cfp-mine: {}: {e}", opts.input);
+            dump_blackbox(&format!("{}: {e}", opts.input), e.exit_code());
+            exit(e.exit_code());
         }
     };
+    if counts.parse.skipped_lines > 0 {
+        eprintln!(
+            "warning: skipped {} malformed line(s) ({} bad token(s)) in {}",
+            counts.parse.skipped_lines, counts.parse.bad_tokens, opts.input
+        );
+    }
     let min_support = match opts.support {
         SupportSpec::Absolute(n) => n.max(1),
-        SupportSpec::Relative(f) => ((db.len() as f64 * f).ceil() as u64).max(1),
+        SupportSpec::Relative(f) => ((counts.transactions as f64 * f).ceil() as u64).max(1),
     };
     eprintln!(
         "{}: {} transactions, {} distinct items; minimum support {min_support}",
         opts.input,
-        db.len(),
-        db.distinct_items()
+        counts.transactions,
+        counts.distinct_items()
     );
 
     // Cooperative cancellation: a checkpointed or deadlined run stops at
@@ -1198,11 +1200,11 @@ fn main() {
     let mut degradation: Option<RecoveryReport> = None;
 
     let stats = if opts.checkpoint_dir.is_some() {
-        run_checkpointed(&run, &db, min_support, &mut degradation)
+        run_checkpointed(&run, &source, min_support, &mut degradation)
     } else if opts.count_only {
         let mut sink = CountingSink::new();
         let stats = run
-            .mine(&db, min_support, &mut sink, None, &mut degradation)
+            .mine(&source, min_support, &mut sink, None, &mut degradation)
             .unwrap_or_else(|e| exit_for_mine_error(e));
         if let Err(e) = writeln!(std::io::stdout(), "{}", sink.count) {
             exit_for_write_error(&e);
@@ -1211,7 +1213,7 @@ fn main() {
     } else if let Some(k) = opts.top {
         let mut sink = TopKSink::new(k);
         let stats = run
-            .mine(&db, min_support, &mut sink, None, &mut degradation)
+            .mine(&source, min_support, &mut sink, None, &mut degradation)
             .unwrap_or_else(|e| exit_for_mine_error(e));
         if let Err(e) = print_itemsets(&sink.into_sorted()) {
             exit_for_write_error(&e);
@@ -1220,11 +1222,11 @@ fn main() {
     } else if needs_collection {
         let mut sink = CollectSink::new();
         let stats = run
-            .mine(&db, min_support, &mut sink, None, &mut degradation)
+            .mine(&source, min_support, &mut sink, None, &mut degradation)
             .unwrap_or_else(|e| exit_for_mine_error(e));
         let all = sink.into_sorted();
         if let Some(conf) = opts.rules {
-            let rules = RuleMiner::new(&all, db.len() as u64).rules_by_confidence(conf);
+            let rules = RuleMiner::new(&all, counts.transactions).rules_by_confidence(conf);
             let stdout = std::io::stdout();
             let mut out = std::io::BufWriter::new(stdout.lock());
             for r in &rules {
@@ -1254,7 +1256,7 @@ fn main() {
         let stdout = std::io::stdout();
         let mut sink =
             PrintSink { out: std::io::BufWriter::new(stdout.lock()), count: 0, err: None };
-        let stats = match run.mine(&db, min_support, &mut sink, None, &mut degradation) {
+        let stats = match run.mine(&source, min_support, &mut sink, None, &mut degradation) {
             Ok(stats) => stats,
             Err(e) => {
                 // A failed run — notably a `--deadline` interruption —
@@ -1314,7 +1316,8 @@ fn main() {
             eprintln!("--image requires the cfp algorithm");
             exit(EXIT_USAGE);
         }
-        let image = MiningImage::build(&db, min_support);
+        let image =
+            MiningImage::try_build(&source, min_support).unwrap_or_else(|e| exit_for_mine_error(e));
         if let Err(e) = image.save(path) {
             eprintln!("cannot save image {path}: {e}");
             exit(1);
@@ -1332,8 +1335,10 @@ fn main() {
         let pool = run.pool.as_ref().expect("pool exists whenever --mem-report is given");
         // FP-tree baselines for the compression table, built from the
         // same counts the CFP structures use.
-        let recoder = cfp_core::ItemRecoder::scan(&db, min_support);
-        let fp = cfp_fptree::FpTree::from_db(&db, &recoder);
+        let recoder =
+            source.counts().unwrap_or_else(|e| exit_for_mine_error(e)).recoder(min_support);
+        let fp = cfp_fptree::FpTree::from_source(&source, &recoder)
+            .unwrap_or_else(|e| exit_for_mine_error(e));
         let b = cfp_fptree::analysis::baselines(&fp);
         drop(fp);
         let baselines = cfp_core::FpBaselineBytes {
@@ -1347,7 +1352,7 @@ fn main() {
             algorithm: &opts.algorithm,
             threads: opts.threads.max(1) as u64,
         };
-        match cfp_core::collect_memstat(&db, min_support, &run, pool, Some(baselines)) {
+        match cfp_core::collect_memstat(&source, min_support, &run, pool, Some(baselines)) {
             Ok(report) => {
                 memstat_summary = Some(report.summary());
                 if let Err(e) = std::fs::write(path, report.to_json().to_pretty()) {
@@ -1377,7 +1382,7 @@ fn main() {
     if let Some(path) = &opts.profile {
         let mut report = cfp_trace::RunReport::capture(
             opts.input.clone(),
-            db.len() as u64,
+            counts.transactions,
             min_support,
             opts.algorithm.clone(),
             opts.threads.max(1) as u64,
@@ -1445,7 +1450,7 @@ mod tests {
         assert!(matches!(o.support, SupportSpec::Absolute(2)));
         assert_eq!(o.threads, 4);
         assert_eq!(o.mem_budget, Some(1 << 20));
-        assert!(o.skip_bad_lines);
+        assert_eq!(o.policy, ParsePolicy::Skip);
     }
 
     #[test]

@@ -219,7 +219,8 @@ fn condensed_output_under_spill_recovery_matches_unconstrained() {
         vec![1, 2, 3, 5],
         vec![1, 2, 3],
     ]);
-    let budget = (cfp_core::build_tree(&db, 2).1.arena_footprint() - 10).to_string();
+    let budget =
+        (cfp_core::try_build_tree(&db, 2, None).unwrap().1.arena_footprint() - 10).to_string();
     let sorted = |bytes: &[u8]| {
         let mut lines: Vec<String> =
             String::from_utf8_lossy(bytes).lines().map(str::to_string).collect();
@@ -360,17 +361,19 @@ fn profile_report_is_valid_and_complete() {
     let wall = run.get("wall_nanos").and_then(Json::as_u64).unwrap();
     assert!(wall > 0);
 
-    // All pipeline phases present, in order. The five classic phases are
-    // each entered exactly once on a healthy run; the recover and spill
-    // phases exist in the schema but stay unentered. Their summed wall time
-    // fits inside the end-to-end wall time.
+    // All pipeline phases present, in order. The four phases of the
+    // streamed pipeline are each entered exactly once on a healthy run;
+    // parsing happens inside count and build, so the read phase (the
+    // baselines' materialising parse) stays unentered, like the recover
+    // and spill phases. Their summed wall time fits inside the end-to-end
+    // wall time.
     let phases = doc.get("phases").and_then(Json::as_arr).expect("phases");
     let names: Vec<&str> = phases.iter().filter_map(|p| p.get("name")?.as_str()).collect();
     assert_eq!(names, ["read", "count", "build", "convert", "mine", "recover", "spill"]);
     let mut phase_sum = 0;
     for p in phases {
         let name = p.get("name").and_then(Json::as_str).unwrap();
-        let expected = if matches!(name, "recover" | "spill") { 0 } else { 1 };
+        let expected = if matches!(name, "read" | "recover" | "spill") { 0 } else { 1 };
         assert_eq!(p.get("count").and_then(Json::as_u64), Some(expected), "{p:?}");
         let nanos = p.get("nanos").and_then(Json::as_u64).unwrap();
         assert_eq!(nanos > 0, expected > 0, "{p:?}");
@@ -424,17 +427,19 @@ fn profile_report_is_valid_and_complete() {
 }
 
 /// One worker and two run the same pipeline: both profiles enter the
-/// same phases — the count pass included — and only the mine phase's
-/// span count (one per worker) tells them apart.
+/// same phases — the count pass included, the read phase not (parsing
+/// happens inside count and build) — and only the mine phase's span
+/// count (one per worker) tells them apart. A baseline still reads.
 #[test]
 fn parallel_profile_records_the_same_phases_as_sequential() {
     use cfp_trace::{json, Json};
     let path = write_skewed();
     let dir = std::env::temp_dir().join("cfp_cli_tests");
-    let entered = |threads: &str| {
-        let report_path = dir.join(format!("phases-{threads}.json"));
+    let entered = |extra: &[&str]| {
+        let report_path = dir.join(format!("phases-{}.json", extra[1]));
         let out = Command::new(bin())
-            .args([path.to_str().unwrap(), "--support", "20", "--count", "--threads", threads])
+            .args([path.to_str().unwrap(), "--support", "20", "--count"])
+            .args(extra)
             .args(["--profile", report_path.to_str().unwrap()])
             .output()
             .unwrap();
@@ -452,13 +457,16 @@ fn parallel_profile_records_the_same_phases_as_sequential() {
             })
             .collect::<Vec<_>>()
     };
-    let seq = entered("1");
-    let par = entered("2");
+    let seq = entered(&["--threads", "1"]);
+    let par = entered(&["--threads", "2"]);
     let names = |v: &[(String, u64)]| v.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
-    assert_eq!(names(&seq), ["read", "count", "build", "convert", "mine"], "{seq:?}");
+    assert_eq!(names(&seq), ["count", "build", "convert", "mine"], "{seq:?}");
     assert_eq!(names(&par), names(&seq), "{par:?}");
     assert!(par.iter().any(|(n, c)| n == "count" && *c == 1), "{par:?}");
     assert!(par.iter().any(|(n, c)| n == "mine" && *c == 2), "one mine span per worker: {par:?}");
+    // Only a baseline materialises the database, inside the read phase.
+    let fp = entered(&["--algorithm", "fp"]);
+    assert_eq!(fp.first(), Some(&("read".to_string(), 1)), "{fp:?}");
 }
 
 /// A deterministic skewed dataset (geometric-ish item frequencies): the
@@ -580,7 +588,8 @@ fn recovery_rungs_appear_on_the_event_timeline() {
         vec![1, 2, 3, 5],
         vec![1, 2, 3],
     ]);
-    let budget = (cfp_core::build_tree(&db, 2).1.arena_footprint() - 10).to_string();
+    let budget =
+        (cfp_core::try_build_tree(&db, 2, None).unwrap().1.arena_footprint() - 10).to_string();
     let out = Command::new(bin())
         .args([
             path.to_str().unwrap(),
@@ -838,7 +847,8 @@ fn partitioned_recovery_matches_unconstrained_output() {
         vec![1, 2, 3, 5],
         vec![1, 2, 3],
     ]);
-    let budget = (cfp_core::build_tree(&db, 2).1.arena_footprint() - 10).to_string();
+    let budget =
+        (cfp_core::try_build_tree(&db, 2, None).unwrap().1.arena_footprint() - 10).to_string();
 
     let baseline =
         Command::new(bin()).args([path.to_str().unwrap(), "--support", "2"]).output().unwrap();

@@ -499,11 +499,11 @@ mod tests {
 
     #[test]
     fn counts_fingerprint_tracks_the_frequent_universe() {
-        let db1 = TransactionDb::from_rows(&[vec![1, 2, 3], vec![1, 2], vec![1]]);
-        let db2 = TransactionDb::from_rows(&[vec![1, 2, 3], vec![1, 2], vec![2]]);
-        let a = counts_fingerprint(&ItemRecoder::scan(&db1, 1));
-        let b = counts_fingerprint(&ItemRecoder::scan(&db2, 1));
-        let a2 = counts_fingerprint(&ItemRecoder::scan(&db1, 1));
+        let first = TransactionDb::from_rows(&[vec![1, 2, 3], vec![1, 2], vec![1]]);
+        let second = TransactionDb::from_rows(&[vec![1, 2, 3], vec![1, 2], vec![2]]);
+        let a = counts_fingerprint(&ItemRecoder::scan(&first, 1));
+        let b = counts_fingerprint(&ItemRecoder::scan(&second, 1));
+        let a2 = counts_fingerprint(&ItemRecoder::scan(&first, 1));
         assert_eq!(a, a2, "fingerprint is deterministic");
         assert_ne!(a, b, "different supports give different fingerprints");
         assert!(a.starts_with("fnv1a:") && a.len() == 6 + 16);

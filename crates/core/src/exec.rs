@@ -2,10 +2,9 @@
 //!
 //! Every CFP-growth driver — [`CfpGrowthMiner`](crate::CfpGrowthMiner),
 //! [`ParallelCfpGrowthMiner`](crate::ParallelCfpGrowthMiner),
-//! [`MiningImage::mine`](crate::MiningImage::mine),
-//! [`mine_file`](crate::mine_file) and each partition of the
+//! [`MiningImage`](crate::MiningImage) and each partition of the
 //! supervisor's partitioned rung — is a thin front-end over this module.
-//! A run is the paper's pipeline:
+//! A run is the paper's pipeline over one re-scannable [`Source`]:
 //!
 //! 1. [`prepare`]: **count** item supports, **build** the CFP-tree and
 //!    **convert** it to the CFP-array (tree and array coexist briefly —
@@ -37,71 +36,16 @@ use crate::growth::{
 };
 use crate::schedule::TaskQueue;
 use cfp_array::{convert, CfpArray};
-use cfp_data::count::count_transaction;
-use cfp_data::double_buffer::DoubleBufferedReader;
-use cfp_data::TransactionDb;
-use cfp_data::{CfpError, Item, ItemRecoder, ItemsetSink, MineProgress, MineStats, OutputMode};
+use cfp_data::{CfpError, Item, ItemsetSink, MineProgress, MineStats, OutputMode, Source};
 use cfp_memman::{ArenaOptions, Component};
 use cfp_metrics::{HeapSize, MemGauge, Stopwatch};
 use cfp_trace::{span, Phase};
-use cfp_tree::{CfpTree, CfpTreeConfig};
+use cfp_tree::CfpTree;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Where a run's transactions come from.
-pub(crate) enum Source<'a> {
-    /// A database already in memory.
-    Db(&'a TransactionDb),
-    /// A FIMI file, streamed twice through the double-buffered reader
-    /// (§4.1): the database is never materialised.
-    File(&'a Path),
-}
-
-impl Source<'_> {
-    /// Pass 1: count supports and recode frequent items.
-    fn count(&self, min_support: u64) -> Result<ItemRecoder, CfpError> {
-        match self {
-            Source::Db(db) => Ok(ItemRecoder::scan(db, min_support)),
-            Source::File(path) => {
-                let mut counts: Vec<u64> = Vec::new();
-                DoubleBufferedReader::new(std::fs::File::open(path)?)
-                    .for_each_transaction(|t| count_transaction(t, &mut counts))?;
-                Ok(ItemRecoder::from_supports(&counts, min_support))
-            }
-        }
-    }
-
-    /// Pass 2: insert every recoded transaction into a CFP-tree.
-    fn build(&self, recoder: &ItemRecoder, arena: ArenaOptions) -> Result<CfpTree, CfpError> {
-        match self {
-            Source::Db(db) => CfpTree::try_from_db_with(db, recoder, arena),
-            Source::File(path) => {
-                let mut tree = CfpTree::try_with_options(
-                    recoder.num_items(),
-                    CfpTreeConfig::default(),
-                    arena,
-                )?;
-                let (mut buf, mut failed) = (Vec::new(), None);
-                DoubleBufferedReader::new(std::fs::File::open(path)?).for_each_transaction(
-                    |t| {
-                        if failed.is_none() {
-                            recoder.recode_transaction(t, &mut buf);
-                            failed = tree.try_insert(&buf, 1).err();
-                        }
-                    },
-                )?;
-                match failed {
-                    Some(e) => Err(CfpError::from(e).with_phase("build")),
-                    None => Ok(tree),
-                }
-            }
-        }
-    }
-}
 
 /// A converted CFP-array ready to mine, with its item mapping.
 pub(crate) struct Prepared {
@@ -124,25 +68,24 @@ impl Prepared {
     }
 }
 
-/// Count, build and convert — the one prologue of every CFP-growth run.
-/// The tree's arena follows `arena`; the array is charged to its pool.
-/// Phase times and the tree's node count accumulate into `stats`.
+/// Count (the source's cached pass 1), build and convert — the one
+/// prologue of every CFP-growth run. The tree's arena follows `arena`;
+/// the array is charged to its pool. Phase times and the tree's node
+/// count accumulate into `stats`.
 pub(crate) fn prepare(
-    source: Source<'_>,
+    source: &Source<'_>,
     min_support: u64,
     arena: ArenaOptions,
     stats: &mut MineStats,
 ) -> Result<Prepared, CfpError> {
+    let counts = source.counts()?;
+    stats.scan_time += counts.elapsed;
+    let recoder = counts.recoder(min_support);
     let mut sw = Stopwatch::start();
-    let recoder = {
-        let _s = span(Phase::Count);
-        source.count(min_support)?
-    };
-    stats.scan_time += sw.lap();
     let pool = arena.pool.clone();
     let tree = {
         let _s = span(Phase::Build);
-        source.build(&recoder, arena)?
+        CfpTree::try_from_source_with(source, &recoder, arena)?
     };
     stats.build_time += sw.lap();
     stats.tree_nodes += tree.num_nodes();
@@ -181,7 +124,7 @@ impl Exec {
     /// A whole run: [`prepare`] then [`mine`](Self::mine).
     pub(crate) fn run(
         &self,
-        source: Source<'_>,
+        source: &Source<'_>,
         min_support: u64,
         sink: &mut dyn ItemsetSink,
     ) -> Result<MineStats, CfpError> {
@@ -766,5 +709,102 @@ impl Lane for OrderedEmitter<'_> {
 
     fn sink(&mut self) -> &mut dyn ItemsetSink {
         &mut *self.sink
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::growth::{CfpGrowthMiner, MineOpts};
+    use cfp_data::miner::{CollectSink, Miner};
+    use cfp_data::{fimi, CfpError, ParsePolicy, Source, TransactionDb};
+
+    fn tmp_file(name: &str, db: &TransactionDb) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("cfp_core_exec");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        fimi::write_file(db, &path).unwrap();
+        path
+    }
+
+    /// Mines a FIMI file through the streamed source, one worker.
+    fn mine_path(
+        path: &std::path::Path,
+        min_support: u64,
+        sink: &mut CollectSink,
+    ) -> Result<cfp_data::MineStats, CfpError> {
+        let source = Source::file(path, ParsePolicy::Strict);
+        CfpGrowthMiner::new().try_mine_with(source, min_support, sink, &MineOpts::default())
+    }
+
+    #[test]
+    fn file_mining_matches_in_memory_mining() {
+        let db = TransactionDb::from_rows(&[
+            vec![1, 2, 5],
+            vec![2, 4],
+            vec![2, 3],
+            vec![1, 2, 4],
+            vec![1, 3],
+            vec![2, 3],
+            vec![1, 3],
+            vec![1, 2, 3, 5],
+            vec![1, 2, 3],
+        ]);
+        let path = tmp_file("match.dat", &db);
+        let mut file_sink = CollectSink::new();
+        let file_stats = mine_path(&path, 2, &mut file_sink).unwrap();
+        let mut mem_sink = CollectSink::new();
+        let mem_stats = CfpGrowthMiner::new().mine(&db, 2, &mut mem_sink);
+
+        assert_eq!(file_sink.itemsets, mem_sink.itemsets, "the same stream, in order");
+        assert_eq!(file_stats.itemsets, mem_stats.itemsets);
+        assert_eq!(file_stats.tree_nodes, mem_stats.tree_nodes);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn empty_file_mines_nothing() {
+        let path = tmp_file("empty.dat", &TransactionDb::new());
+        let mut sink = CollectSink::new();
+        let stats = mine_path(&path, 1, &mut sink).unwrap();
+        assert_eq!(stats.itemsets, 0);
+        assert!(sink.itemsets.is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn missing_file_reports_io_error() {
+        let mut sink = CollectSink::new();
+        let err = mine_path("/nonexistent/cfp/file.dat".as_ref(), 1, &mut sink);
+        assert!(matches!(err, Err(CfpError::Io(_))), "{err:?}");
+    }
+
+    #[test]
+    fn malformed_file_reports_parse_error() {
+        let dir = std::env::temp_dir().join("cfp_core_exec");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad.dat");
+        std::fs::write(&path, "1 2 three\n").unwrap();
+        let mut sink = CollectSink::new();
+        assert!(mine_path(&path, 1, &mut sink).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn streamed_malformed_file_fails_with_its_line_and_exit_3() {
+        let dir = std::env::temp_dir().join("cfp_core_exec");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad-line.dat");
+        std::fs::write(&path, "1 2\n2 3\n1 bogus 2\n1 2\n").unwrap();
+        let mut sink = CollectSink::new();
+        let err = mine_path(&path, 1, &mut sink).expect_err("strict parsing must reject");
+        assert!(matches!(err, CfpError::Parse { line: 3, .. }), "{err:?}");
+        assert_eq!(err.exit_code(), 3);
+        assert!(sink.itemsets.is_empty());
+        // Under the skip policy the same file mines the other lines.
+        let skip = Source::file(&path, ParsePolicy::Skip);
+        let stats = CfpGrowthMiner::new().try_mine_with(&skip, 2, &mut sink, &MineOpts::default());
+        assert_eq!(stats.unwrap().itemsets, 3, "{{1}}, {{2}}, {{1, 2}}");
+        assert_eq!(skip.counts().unwrap().parse.skipped_lines, 1);
+        std::fs::remove_file(&path).ok();
     }
 }

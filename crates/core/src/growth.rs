@@ -21,11 +21,11 @@
 //! degenerates into a single path short-circuits into direct subset
 //! enumeration.
 
-use crate::exec::{Exec, Source};
+use crate::exec::Exec;
 use crate::spill::CondSpill;
 use cfp_array::{convert, CfpArray};
 use cfp_data::{
-    CfpError, Item, ItemRecoder, ItemsetSink, MineStats, Miner, OutputMode, TransactionDb,
+    CfpError, Item, ItemRecoder, ItemsetSink, MineStats, Miner, OutputMode, Source, TransactionDb,
 };
 use cfp_memman::{Arena, ArenaOptions, BudgetPool, Component, MemoryBudget, StatsReset};
 use cfp_metrics::{HeapSize, MemGauge};
@@ -361,36 +361,20 @@ impl CfpGrowthMiner {
     }
 }
 
-/// Runs the scan and build phases: returns the recoder and the initial
-/// CFP-tree. Exposed separately so benchmarks can time phases.
-pub fn build_tree(db: &TransactionDb, min_support: u64) -> (ItemRecoder, CfpTree) {
-    try_build_tree(db, min_support, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`build_tree`]: the tree arena is capped at `budget` bytes
-/// when given, and exhaustion comes back as
-/// [`CfpError::MemoryExhausted`] with the phase set to `"build"`.
-pub fn try_build_tree(
-    db: &TransactionDb,
+/// Runs the count and build phases over a database or a file: returns
+/// the recoder and the initial CFP-tree, whose arena is capped at
+/// `budget` bytes when given (exhaustion comes back as
+/// [`CfpError::MemoryExhausted`] with the phase set to `"build"`).
+/// Exposed separately so benchmarks can time phases.
+pub fn try_build_tree<'a>(
+    source: impl Into<Source<'a>>,
     min_support: u64,
     budget: Option<u64>,
 ) -> Result<(ItemRecoder, CfpTree), CfpError> {
-    try_build_tree_with(
-        db,
-        min_support,
-        MineOpts::default().arena_options(budget, Component::BuildTree),
-    )
-}
-
-/// [`try_build_tree`] with full [`ArenaOptions`]: the initial tree can
-/// draw from a shared [`BudgetPool`] and compact under pressure.
-pub fn try_build_tree_with(
-    db: &TransactionDb,
-    min_support: u64,
-    opts: ArenaOptions,
-) -> Result<(ItemRecoder, CfpTree), CfpError> {
-    let recoder = ItemRecoder::scan(db, min_support);
-    let tree = CfpTree::try_from_db_with(db, &recoder, opts)?;
+    let source = source.into();
+    let recoder = source.counts()?.recoder(min_support);
+    let arena = MineOpts::default().arena_options(budget, Component::BuildTree);
+    let tree = CfpTree::try_from_source_with(&source, &recoder, arena)?;
     Ok((recoder, tree))
 }
 
@@ -538,29 +522,26 @@ impl Miner for CfpGrowthMiner {
 }
 
 impl CfpGrowthMiner {
-    /// [`Miner::try_mine`] with explicit [`MineOpts`]: a shared budget
-    /// pool covering the initial *and* every conditional tree, and
+    /// [`Miner::try_mine`] over any [`Source`] (a database, or a FIMI
+    /// file streamed in two passes) with explicit [`MineOpts`]: a shared
+    /// budget pool covering the initial *and* every conditional tree, and
     /// compact-on-pressure retry. `try_mine` delegates here with the
     /// defaults, so its behaviour is unchanged.
-    pub fn try_mine_with(
+    pub fn try_mine_with<'a>(
         &self,
-        db: &TransactionDb,
+        source: impl Into<Source<'a>>,
         min_support: u64,
         sink: &mut dyn ItemsetSink,
         opts: &MineOpts,
     ) -> Result<MineStats, CfpError> {
-        self.exec(opts).run(Source::Db(db), min_support, sink)
-    }
-
-    /// The one-worker executor this miner's options describe.
-    pub(crate) fn exec(&self, opts: &MineOpts) -> Exec {
-        Exec {
+        let exec = Exec {
             workers: 1,
             single_path_opt: self.single_path_opt,
             tree_budget: self.mem_budget,
             worker_timeout: None,
             opts: opts.clone(),
-        }
+        };
+        exec.run(&source.into(), min_support, sink)
     }
 }
 

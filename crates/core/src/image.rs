@@ -9,10 +9,10 @@
 //! data, mine many times with different sinks or support levels (any
 //! support ≥ the build support is valid: items below it are simply absent).
 
-use crate::exec::{prepare, Exec, Prepared, Source};
+use crate::exec::{prepare, Exec, Prepared};
 use crate::growth::{ArrayCharge, MineOpts};
 use cfp_array::CfpArray;
-use cfp_data::{Item, ItemsetSink, MineStats, TransactionDb};
+use cfp_data::{CfpError, Item, ItemsetSink, MineStats, Source};
 use cfp_encoding::varint;
 use cfp_memman::Component;
 use std::io::{self, Read, Write};
@@ -33,12 +33,20 @@ pub struct MiningImage {
 }
 
 impl MiningImage {
-    /// Builds an image from a database (scan + build + convert).
-    pub fn build(db: &TransactionDb, min_support: u64) -> Self {
+    /// Builds an image (count + build + convert); panics where
+    /// [`try_build`](Self::try_build) fails.
+    pub fn build<'a>(source: impl Into<Source<'a>>, min_support: u64) -> Self {
+        Self::try_build(source, min_support).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds an image from a database or a FIMI file.
+    pub fn try_build<'a>(
+        source: impl Into<Source<'a>>,
+        min_support: u64,
+    ) -> Result<Self, CfpError> {
         let arena = MineOpts::default().arena_options(None, Component::BuildTree);
-        let prepared = prepare(Source::Db(db), min_support, arena, &mut MineStats::default())
-            .unwrap_or_else(|e| panic!("{e}"));
-        MiningImage { array: prepared.array, globals: prepared.globals, min_support }
+        let prepared = prepare(&source.into(), min_support, arena, &mut MineStats::default())?;
+        Ok(MiningImage { array: prepared.array, globals: prepared.globals, min_support })
     }
 
     /// The compressed array.
@@ -156,6 +164,7 @@ mod tests {
     use super::*;
     use crate::CfpGrowthMiner;
     use cfp_data::miner::{CollectSink, Miner};
+    use cfp_data::TransactionDb;
 
     fn sample_db() -> TransactionDb {
         TransactionDb::from_rows(&[

@@ -41,7 +41,6 @@ pub mod ckpt;
 mod exec;
 pub mod growth;
 pub mod image;
-pub mod io;
 pub mod memstat;
 pub mod parallel;
 mod schedule;
@@ -50,12 +49,13 @@ pub mod supervisor;
 
 pub use cfp_array::{convert, CfpArray};
 pub use cfp_data::miner::{CollectSink, CountingSink, LengthHistogramSink, NullSink, TopKSink};
-pub use cfp_data::{Item, ItemRecoder, ItemsetSink, MineStats, Miner, OutputMode, TransactionDb};
+pub use cfp_data::{
+    Counts, Item, ItemRecoder, ItemsetSink, MineStats, Miner, OutputMode, Source, TransactionDb,
+};
 pub use cfp_tree::CfpTree;
 pub use ckpt::{CkptProgress, Manifest};
-pub use growth::{build_tree, CfpGrowthMiner, MineOpts};
+pub use growth::{try_build_tree, CfpGrowthMiner, MineOpts};
 pub use image::MiningImage;
-pub use io::mine_file;
 pub use memstat::{collect_memstat, FpBaselineBytes, MemStatRun};
 pub use parallel::ParallelCfpGrowthMiner;
 pub use spill::CondSpill;

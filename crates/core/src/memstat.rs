@@ -5,7 +5,7 @@
 //! on the mining layers); *assembling* a report needs the pool, the
 //! tree, the array, and the analytics passes at once, which only this
 //! crate can see. [`collect_memstat`] runs a post-mining analytics pass:
-//! it rebuilds the initial CFP-tree and CFP-array from the database —
+//! it rebuilds the initial CFP-tree and CFP-array from the source —
 //! charging the same [`BudgetPool`] the mining run used, so the audit
 //! reconciles against live accounting — and measures both structures
 //! while they are alive.
@@ -15,15 +15,16 @@
 //! them in as a plain [`FpBaselineBytes`] value; the CLI and bench
 //! layers compute it with `cfp_fptree::analysis::baselines`.
 
-use crate::growth::{try_build_tree_with, ArrayCharge};
+use crate::growth::ArrayCharge;
 use cfp_array::convert;
-use cfp_data::{CfpError, TransactionDb};
+use cfp_data::{CfpError, Source};
 use cfp_memman::{ArenaOptions, BudgetPool, Component};
 use cfp_metrics::{summarize_linear, summarize_log2, HeapSize, Log2Summary};
 use cfp_trace::memstat::{
     rss_bytes, Attribution, Audit, ComponentRow, CompressionRow, DistRow, MemStatReport,
     SavingsRow, StructureReport,
 };
+use cfp_tree::CfpTree;
 
 /// Arena capacity slack the audit tolerates: the backing `Vec` grows
 /// geometrically (at most doubling), so OS-reserved capacity may exceed
@@ -58,7 +59,7 @@ pub struct MemStatRun<'a> {
     pub threads: u64,
 }
 
-/// Builds the full `cfp-memstat/1` report for `db` at `min_support`.
+/// Builds the full `cfp-memstat/1` report for `source` at `min_support`.
 ///
 /// `pool` should be the pool the mining run charged (its per-component
 /// peaks and pool peak then describe the real run); a fresh unlimited
@@ -66,8 +67,8 @@ pub struct MemStatRun<'a> {
 /// `cfp-repro inspect` does. The analytics pass is observational: it
 /// never affects mining output (the pool charge is metered but the pool
 /// is the caller's — an unlimited pool admits everything).
-pub fn collect_memstat(
-    db: &TransactionDb,
+pub fn collect_memstat<'a>(
+    source: impl Into<Source<'a>>,
     min_support: u64,
     run: &MemStatRun<'_>,
     pool: &BudgetPool,
@@ -76,9 +77,11 @@ pub fn collect_memstat(
     // Analytics pass: rebuild the initial structures so they can be
     // measured while alive. Charged to the same components as the real
     // run, so the audit below exercises live accounting.
-    let (_recoder, tree) = try_build_tree_with(
-        db,
-        min_support,
+    let source = source.into();
+    let counts = source.counts()?;
+    let tree = CfpTree::try_from_source_with(
+        &source,
+        &counts.recoder(min_support),
         ArenaOptions {
             pool: Some(pool.clone()),
             component: Component::BuildTree,
@@ -116,7 +119,7 @@ pub fn collect_memstat(
             .collect(),
     };
 
-    let transactions = db.len() as u64;
+    let transactions = counts.transactions;
     let per_txn = |bytes: u64| -> f64 {
         if transactions == 0 {
             0.0
@@ -281,7 +284,7 @@ pub fn collect_memstat(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfp_data::profiles;
+    use cfp_data::{profiles, TransactionDb};
 
     fn fp_baselines(db: &TransactionDb, min_support: u64) -> FpBaselineBytes {
         let recoder = cfp_data::ItemRecoder::scan(db, min_support);

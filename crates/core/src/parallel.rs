@@ -34,9 +34,9 @@
 //! the sum of the workers' conditional-structure peaks (as if all workers
 //! hit their individual peaks simultaneously).
 
-use crate::exec::{Exec, Source};
+use crate::exec::Exec;
 use crate::growth::MineOpts;
-use cfp_data::{CfpError, ItemsetSink, MineStats, Miner, OutputMode, TransactionDb};
+use cfp_data::{CfpError, ItemsetSink, MineStats, Miner, OutputMode, Source, TransactionDb};
 use cfp_memman::BudgetPool;
 use std::time::Duration;
 
@@ -94,27 +94,18 @@ impl ParallelCfpGrowthMiner {
             output: OutputMode::default(),
         }
     }
-}
 
-impl Miner for ParallelCfpGrowthMiner {
-    fn name(&self) -> &'static str {
-        "cfp-growth-parallel"
-    }
-
-    fn mine(&self, db: &TransactionDb, min_support: u64, sink: &mut dyn ItemsetSink) -> MineStats {
-        self.try_mine(db, min_support, sink).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible mine with worker containment: a panic inside any worker
-    /// is caught at the task boundary, a shared poison flag cancels the
-    /// remaining workers at their next work item, and the first failure
-    /// comes back as [`CfpError::WorkerPanic`],
+    /// Fallible mine over any [`Source`] (a database, or a FIMI file
+    /// streamed in two passes) with worker containment: a panic inside
+    /// any worker is caught at the task boundary, a shared poison flag
+    /// cancels the remaining workers at their next work item, and the
+    /// first failure comes back as [`CfpError::WorkerPanic`],
     /// [`CfpError::MemoryExhausted`], or [`CfpError::WorkerTimeout`] —
     /// the process and the caller's sink survive (the sink may have
     /// received a partial result stream).
-    fn try_mine(
+    pub fn try_mine_source<'a>(
         &self,
-        db: &TransactionDb,
+        source: impl Into<Source<'a>>,
         min_support: u64,
         sink: &mut dyn ItemsetSink,
     ) -> Result<MineStats, CfpError> {
@@ -132,7 +123,26 @@ impl Miner for ParallelCfpGrowthMiner {
                 cond_spill: None,
             },
         };
-        exec.run(Source::Db(db), min_support, sink)
+        exec.run(&source.into(), min_support, sink)
+    }
+}
+
+impl Miner for ParallelCfpGrowthMiner {
+    fn name(&self) -> &'static str {
+        "cfp-growth-parallel"
+    }
+
+    fn mine(&self, db: &TransactionDb, min_support: u64, sink: &mut dyn ItemsetSink) -> MineStats {
+        self.try_mine(db, min_support, sink).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn try_mine(
+        &self,
+        db: &TransactionDb,
+        min_support: u64,
+        sink: &mut dyn ItemsetSink,
+    ) -> Result<MineStats, CfpError> {
+        self.try_mine_source(db, min_support, sink)
     }
 }
 

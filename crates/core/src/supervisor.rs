@@ -12,8 +12,8 @@
 //!    conditional tree live instead of `threads`), same pool and
 //!    compaction. Skipped when the run had one worker already.
 //! 3. **partition** / **spill** — the partitioned rung: split the
-//!    database into `k` item-range projections
-//!    ([`cfp_data::partition`]), build and convert each under the budget,
+//!    input into `k` item-range projections ([`cfp_data::partition`]),
+//!    build and convert each under the budget,
 //!    mine it with one worker, and merge the per-range results into the
 //!    exact global result. A range that still exhausts the budget is
 //!    split in two and requeued; a single-item range that fails ends the
@@ -22,6 +22,8 @@
 //!    every array to a crash-safe, checksummed spill file and mines them
 //!    back one at a time through zero-copy views, so the budget covers
 //!    only one partition's transient structures at a time.
+//!
+//! Attempts share the source's one pass 1; an input failure is final.
 //!
 //! Output is buffered per attempt and flushed to the caller's sink only
 //! when an attempt succeeds, so the caller never sees a partial result
@@ -39,13 +41,13 @@
 //! of the spill store is a checksummed identity transformation of each
 //! partition's array.
 
-use crate::exec::{prepare, Exec, Prepared, Reconcile, Source};
+use crate::exec::{prepare, Exec, Prepared, Reconcile};
 use crate::growth::{ArrayCharge, MineOpts, TopKState};
 use crate::spill::{load_spill_array, write_spill_array, CondSpill};
 use cfp_data::miner::CollectSink;
 use cfp_data::partition::{project, ranges_by_mass};
 use cfp_data::spill::SpillDir;
-use cfp_data::{CfpError, Item, ItemRecoder, ItemsetSink, MineStats, OutputMode, TransactionDb};
+use cfp_data::{CfpError, Item, ItemRecoder, ItemsetSink, MineStats, OutputMode, Source};
 use cfp_memman::{ArenaOptions, BudgetPool, Component};
 use cfp_trace::{span, Phase};
 use std::cmp::Reverse;
@@ -234,25 +236,28 @@ impl Supervisor {
         steps
     }
 
-    /// Mines `db`, escalating through the recovery ladder on failure.
+    /// Mines `source`, escalating through the recovery ladder on failure.
     ///
     /// Returns the mining result *and* the recovery report — the report
     /// survives failure so callers can still explain what was attempted.
     /// The caller's sink receives either the complete result of the
     /// winning attempt or nothing.
-    pub fn mine(
+    pub fn mine<'a>(
         &self,
-        db: &TransactionDb,
+        source: impl Into<Source<'a>>,
         min_support: u64,
         sink: &mut dyn ItemsetSink,
     ) -> (Result<MineStats, CfpError>, RecoveryReport) {
+        let source = source.into();
         let mut report =
             RecoveryReport { policy: self.policy.name().to_string(), ..Default::default() };
         let mut cause: Option<CfpError> = None;
         for step in self.ladder() {
-            if cause.is_some() && (self.cancelled() || matches!(cause, Some(CfpError::Interrupted)))
-            {
-                return (Err(CfpError::Interrupted), report);
+            match cause {
+                Some(CfpError::Interrupted) => return (Err(CfpError::Interrupted), report),
+                Some(_) if self.cancelled() => return (Err(CfpError::Interrupted), report),
+                Some(e @ (CfpError::Io(_) | CfpError::Parse { .. })) => return (Err(e), report),
+                _ => {}
             }
             // Size the first split from the failure itself: aim for
             // projections of at most half the budget; otherwise 2.
@@ -263,7 +268,8 @@ impl Supervisor {
                 _ => 2,
             };
             let mut buf = CollectSink::new();
-            match self.run_step(step, db, min_support, Start::Split(k0), &mut buf, &mut report) {
+            match self.run_step(step, &source, min_support, Start::Split(k0), &mut buf, &mut report)
+            {
                 Ok(stats) => {
                     for (itemset, support) in &buf.itemsets {
                         sink.emit(itemset, *support);
@@ -294,11 +300,11 @@ impl Supervisor {
     /// `resume` replays a previous run's final notification: `done`
     /// completed partitions (counted into subsequent notifications, never
     /// re-mined) and the surviving ranges to mine, in order. Because
-    /// ranges are re-projected from the database, no spill files need to
+    /// ranges are re-projected from the source, no spill files need to
     /// have survived the crash. Passing `None` starts a fresh run.
-    pub fn mine_out_of_core(
+    pub fn mine_out_of_core<'a>(
         &self,
-        db: &TransactionDb,
+        source: impl Into<Source<'a>>,
         min_support: u64,
         sink: &mut dyn ItemsetSink,
         resume: Option<(u64, Vec<(u32, u32)>)>,
@@ -318,7 +324,9 @@ impl Supervisor {
         };
         let mut report =
             RecoveryReport { policy: self.policy.name().to_string(), ..Default::default() };
-        let result = self.run_step(Step::Partitioned, db, min_support, start, sink, &mut report);
+        let source = source.into();
+        let result =
+            self.run_step(Step::Partitioned, &source, min_support, start, sink, &mut report);
         (result, report)
     }
 
@@ -328,7 +336,7 @@ impl Supervisor {
     fn run_step(
         &self,
         step: Step,
-        db: &TransactionDb,
+        source: &Source<'_>,
         min_support: u64,
         start: Start,
         sink: &mut dyn ItemsetSink,
@@ -354,8 +362,8 @@ impl Supervisor {
         }
         let mut tally = Tally::default();
         let result = match step {
-            Step::Partitioned => self.partitioned(db, min_support, start, sink, &mut tally),
-            _ => self.monolithic(step, db, min_support, sink, &mut tally),
+            Step::Partitioned => self.partitioned(source, min_support, start, sink, &mut tally),
+            _ => self.monolithic(step, source, min_support, sink, &mut tally),
         };
         if let Some((name, _)) = rung {
             report.rungs.push(RungReport {
@@ -378,7 +386,7 @@ impl Supervisor {
     fn monolithic(
         &self,
         step: Step,
-        db: &TransactionDb,
+        source: &Source<'_>,
         min_support: u64,
         sink: &mut dyn ItemsetSink,
         tally: &mut Tally,
@@ -397,7 +405,7 @@ impl Supervisor {
                 ..Default::default()
             },
         };
-        let result = exec.run(Source::Db(db), min_support, sink);
+        let result = exec.run(source, min_support, sink);
         tally.reclaimed = pool.map_or(0, |p| p.compact_reclaimed());
         result
     }
@@ -405,16 +413,19 @@ impl Supervisor {
     /// The partitioned rung, streaming into `sink`: project each queued
     /// item range, build and convert it under a fresh budget pool, hand
     /// the array to the store, and mine stored partitions one at a time
-    /// with one worker through a max-item range filter.
+    /// with one worker through a max-item range filter. A range is
+    /// projected by one pass over the source; the halves of a range whose
+    /// build exhausted the budget are cut from its projection instead.
     fn partitioned(
         &self,
-        db: &TransactionDb,
+        source: &Source<'_>,
         min_support: u64,
         start: Start,
         sink: &mut dyn ItemsetSink,
         tally: &mut Tally,
     ) -> Result<MineStats, CfpError> {
-        let recoder = ItemRecoder::scan(db, min_support);
+        let counts = source.counts()?;
+        let recoder = counts.recoder(min_support);
         let n = recoder.num_items();
         if n == 0 {
             // Nothing frequent: the empty result is exact.
@@ -443,24 +454,26 @@ impl Supervisor {
             }
             Store::Memory => None,
         };
-        let (done0, mut ranges): (u64, VecDeque<(u32, u32)>) = match start {
+        let (done0, ranges) = match start {
             Start::Split(k) => {
-                let mut ranges: VecDeque<(u32, u32)> = ranges_by_mass(&recoder, k.min(n)).into();
+                let mut ranges = ranges_by_mass(&recoder, k.min(n));
                 if condensed {
-                    ranges.make_contiguous().reverse();
+                    ranges.reverse();
                 }
                 (0, ranges)
             }
-            Start::Resume { done, remaining } => (done, remaining.into()),
+            Start::Resume { done, remaining } => (done, remaining),
         };
+        let mut ranges: VecDeque<Range> =
+            ranges.into_iter().map(|(lo, hi)| (lo, hi, None)).collect();
         let mut parts: VecDeque<Part> = VecDeque::new();
-        let mut stats = MineStats::default();
+        let mut stats = MineStats { scan_time: counts.elapsed, ..Default::default() };
         let mut emitted = 0u64;
         loop {
             // Build: project, build and convert queued ranges into the
             // store. The memory store hands each array straight to the
             // mine loop below; the disk store spills them all first.
-            while let Some((lo, hi)) = ranges.pop_front() {
+            while let Some((lo, hi, parent)) = ranges.pop_front() {
                 if self.cancelled() {
                     return Err(CfpError::Interrupted);
                 }
@@ -472,8 +485,9 @@ impl Supervisor {
                     compact_on_pressure: true,
                     component: Component::BuildTree,
                 };
-                let proj = project(db, &recoder, lo, hi);
-                match prepare(Source::Db(&proj), min_support, arena, &mut stats) {
+                let proj = project(parent.as_ref().unwrap_or(source), &recoder, lo, hi)?;
+                drop(parent);
+                match prepare(&proj, min_support, arena, &mut stats) {
                     Ok(prepared) => {
                         cfp_trace::hist::record_since(
                             &cfp_trace::hist::CORE_SPILL_PROJECT_NANOS,
@@ -487,7 +501,7 @@ impl Supervisor {
                     Err(CfpError::MemoryExhausted { .. }) if hi - lo > 1 => {
                         // Too big even projected: split it in place.
                         tally.reclaimed += pool.map_or(0, |p| p.compact_reclaimed());
-                        split(&mut ranges, lo, hi, condensed);
+                        split(&mut ranges, (lo, hi, Some(proj)), condensed);
                     }
                     Err(e) => return Err(e),
                 }
@@ -555,7 +569,7 @@ impl Supervisor {
                         let remaining: Vec<(u32, u32)> = parts
                             .iter()
                             .map(|p| (p.lo, p.hi))
-                            .chain(ranges.iter().copied())
+                            .chain(ranges.iter().map(|&(lo, hi, _)| (lo, hi)))
                             .collect();
                         let emit_t0 = cfp_trace::hist::maybe_now();
                         let sent = sink.progress(cfp_data::MineProgress::SpillParts {
@@ -568,8 +582,8 @@ impl Supervisor {
                     Err(CfpError::MemoryExhausted { .. }) if hi - lo > 1 => {
                         // Conditional structures still too big: drop the
                         // partial output with its buffer and split the
-                        // range; its halves are built next.
-                        split(&mut ranges, lo, hi, condensed);
+                        // range; its halves are projected and built next.
+                        split(&mut ranges, (lo, hi, None), condensed);
                         break;
                     }
                     Err(e) => return Err(e),
@@ -596,14 +610,17 @@ impl Supervisor {
     }
 }
 
+/// A queued item range `[lo, hi)` and the projection to cut it from, if any.
+type Range = (u32, u32, Option<Source<'static>>);
+
 /// Splits a range too big for the budget in place: its halves go to the
 /// front of the queue, the higher one first when the output is
 /// condensed (`descending`).
-fn split(ranges: &mut VecDeque<(u32, u32)>, lo: u32, hi: u32, descending: bool) {
+fn split(ranges: &mut VecDeque<Range>, (lo, hi, from): Range, descending: bool) {
     let mid = lo + (hi - lo) / 2;
     let (first, second) = if descending { ((mid, hi), (lo, mid)) } else { ((lo, mid), (mid, hi)) };
-    ranges.push_front(second);
-    ranges.push_front(first);
+    ranges.push_front((second.0, second.1, from.clone()));
+    ranges.push_front((first.0, first.1, from));
 }
 
 /// Where the partitioned rung keeps converted partition arrays until
@@ -625,7 +642,7 @@ enum Stored {
     /// The converted array itself.
     Memory(Prepared),
     /// A spill file plus the item mapping captured at build time (the
-    /// database is not consulted again to mine it).
+    /// source is not consulted again to mine it).
     Disk { dir: Arc<SpillDir>, name: String, globals: Arc<[Item]> },
 }
 
@@ -720,6 +737,7 @@ mod tests {
     use super::*;
     use crate::CfpGrowthMiner;
     use cfp_data::Miner;
+    use cfp_data::TransactionDb;
 
     fn textbook() -> TransactionDb {
         TransactionDb::from_rows(&[

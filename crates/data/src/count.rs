@@ -16,9 +16,9 @@
 use crate::types::{Item, TransactionDb};
 use cfp_metrics::HeapSize;
 
-/// Adds one transaction to a growable support-count table (streaming
-/// version of [`count_supports`]; duplicates within the transaction count
-/// once).
+/// Adds one transaction to a growable support-count table. A FIMI
+/// transaction may repeat an item; support counts presence, not
+/// multiplicity, so a duplicate within the transaction counts once.
 pub fn count_transaction(transaction: &[Item], counts: &mut Vec<u64>) {
     for (i, &item) in transaction.iter().enumerate() {
         if transaction[..i].contains(&item) {
@@ -37,14 +37,7 @@ pub fn count_transaction(transaction: &[Item], counts: &mut Vec<u64>) {
 pub fn count_supports(db: &TransactionDb) -> Vec<u64> {
     let mut counts = vec![0u64; db.max_item().map_or(0, |m| m as usize + 1)];
     for t in db.iter() {
-        // A FIMI transaction may repeat an item; support counts presence,
-        // not multiplicity. Detect duplicates only when they occur.
-        for (i, &item) in t.iter().enumerate() {
-            if t[..i].contains(&item) {
-                continue;
-            }
-            counts[item as usize] += 1;
-        }
+        count_transaction(t, &mut counts);
     }
     counts
 }
@@ -58,7 +51,6 @@ pub struct ItemRecoder {
     new_to_old: Vec<Item>,
     /// Support per *new* id (non-increasing).
     supports: Vec<u64>,
-    min_support: u64,
 }
 
 impl ItemRecoder {
@@ -77,7 +69,7 @@ impl ItemRecoder {
             old_to_new[old as usize] = new as u32 + 1;
             supports.push(supports_by_item[old as usize]);
         }
-        ItemRecoder { old_to_new, new_to_old: frequent, supports, min_support }
+        ItemRecoder { old_to_new, new_to_old: frequent, supports }
     }
 
     /// Runs the first scan over `db` and builds the recoder.
@@ -88,11 +80,6 @@ impl ItemRecoder {
     /// Number of frequent items.
     pub fn num_items(&self) -> usize {
         self.new_to_old.len()
-    }
-
-    /// The minimum support this recoder was built with.
-    pub fn min_support(&self) -> u64 {
-        self.min_support
     }
 
     /// New id of `old`, or `None` if the item is infrequent.

@@ -15,14 +15,16 @@
 //! # Failure model
 //!
 //! Failures on the reading thread never panic the consumer. An I/O error
-//! (or a strict-policy parse error) is forwarded through the buffer
-//! channel and surfaces as the `Err` of the next
+//! ([`CfpError::Io`]) or a strict-policy parse error ([`CfpError::Parse`],
+//! citing the line) is forwarded through the buffer channel unchanged and
+//! surfaces as the `Err` of the next
 //! [`next_chunk`](DoubleBufferedReader::next_chunk) call — chunks read
 //! before the failure are still delivered in order first. Even a failed
 //! thread spawn is reported this way instead of panicking.
 
 use crate::fimi::{parse_line_with_policy, ParsePolicy, ParseStats};
 use crate::types::{Item, TransactionDb};
+use cfp_fault::CfpError;
 use std::io::{self, BufRead, BufReader, Read};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -31,10 +33,8 @@ use std::thread::JoinHandle;
 /// Default number of transactions per buffer.
 pub const DEFAULT_CHUNK: usize = 8192;
 
-enum Filled {
-    Chunk(TransactionDb),
-    Err(io::Error),
-}
+/// A filled buffer, or the failure that ended the stream.
+type Filled = Result<TransactionDb, CfpError>;
 
 /// Streams transactions from a reader with one background parsing thread
 /// and two circulating buffers.
@@ -46,14 +46,9 @@ pub struct DoubleBufferedReader {
 }
 
 impl DoubleBufferedReader {
-    /// Starts reading `input` with the default chunk size.
+    /// Starts reading `input` strictly, with the default chunk size.
     pub fn new(input: impl Read + Send + 'static) -> Self {
-        Self::with_chunk_size(input, DEFAULT_CHUNK)
-    }
-
-    /// Starts reading `input`, grouping `chunk` transactions per buffer.
-    pub fn with_chunk_size(input: impl Read + Send + 'static, chunk: usize) -> Self {
-        Self::with_policy(input, chunk, ParsePolicy::Strict)
+        Self::with_policy(input, DEFAULT_CHUNK, ParsePolicy::Strict)
     }
 
     /// Starts reading `input` under an explicit [`ParsePolicy`], grouping
@@ -75,37 +70,23 @@ impl DoubleBufferedReader {
         let spawn_tx = filled_tx.clone();
         let worker = std::thread::Builder::new().name("cfp-data-reader".into()).spawn(move || {
             let mut reader = BufReader::new(input);
-            let mut line = String::new();
-            let mut items: Vec<Item> = Vec::new();
+            let (mut line, mut items) = (String::new(), Vec::<Item>::new());
             let mut local = ParseStats::default();
-            let flush = |local: &ParseStats| {
-                *worker_stats.lock().unwrap_or_else(|e| e.into_inner()) = *local;
-            };
-            'outer: while let Ok(mut db) = empty_rx.recv() {
-                db.clear(); // reuse the recycled buffer's allocation
-                let mut n = 0;
-                loop {
+            while let Ok(mut db) = empty_rx.recv() {
+                // Reuse the recycled buffer's allocation and fill it;
+                // `Ok(true)` means the input ended.
+                db.clear();
+                let filled = loop {
+                    if db.len() == chunk {
+                        break Ok(false);
+                    }
                     line.clear();
                     if cfp_fault::should_fail("data.read") {
-                        flush(&local);
-                        let _ = filled_tx.send(Filled::Err(io::Error::other(
-                            "injected I/O failure (failpoint data.read)",
-                        )));
-                        break 'outer;
+                        let e = io::Error::other("injected I/O failure (failpoint data.read)");
+                        break Err(CfpError::Io(e));
                     }
                     match reader.read_line(&mut line) {
-                        Ok(0) => {
-                            flush(&local);
-                            if !db.is_empty() {
-                                if cfp_trace::events::capturing() {
-                                    cfp_trace::events::record(cfp_trace::EventKind::BufferSwap {
-                                        rows: n as u32,
-                                    });
-                                }
-                                let _ = filled_tx.send(Filled::Chunk(db));
-                            }
-                            break 'outer;
-                        }
+                        Ok(0) => break Ok(true),
                         Ok(_) => {
                             local.lines += 1;
                             items.clear();
@@ -116,36 +97,36 @@ impl DoubleBufferedReader {
                                 &mut items,
                                 &mut local,
                             ) {
-                                Ok(true) => {
-                                    db.push(&items);
-                                    n += 1;
-                                    if n == chunk {
-                                        flush(&local);
-                                        if cfp_trace::events::capturing() {
-                                            cfp_trace::events::record(
-                                                cfp_trace::EventKind::BufferSwap { rows: n as u32 },
-                                            );
-                                        }
-                                        if filled_tx.send(Filled::Chunk(db)).is_err() {
-                                            break 'outer; // consumer dropped
-                                        }
-                                        continue 'outer;
+                                Ok(kept) => {
+                                    if kept {
+                                        db.push(&items);
                                     }
                                 }
-                                Ok(false) => {} // line skipped under ParsePolicy::Skip
-                                Err(e) => {
-                                    flush(&local);
-                                    let _ = filled_tx.send(Filled::Err(e.into()));
-                                    break 'outer;
-                                }
+                                Err(e) => break Err(e),
                             }
                         }
-                        Err(e) => {
-                            flush(&local);
-                            let _ = filled_tx.send(Filled::Err(e));
-                            break 'outer;
-                        }
+                        Err(e) => break Err(CfpError::Io(e)),
                     }
+                };
+                *worker_stats.lock().unwrap_or_else(|e| e.into_inner()) = local;
+                let ended = match filled {
+                    Ok(ended) => ended,
+                    Err(e) => {
+                        let _ = filled_tx.send(Err(e));
+                        return;
+                    }
+                };
+                if !db.is_empty() {
+                    if cfp_trace::events::capturing() {
+                        let rows = db.len() as u32;
+                        cfp_trace::events::record(cfp_trace::EventKind::BufferSwap { rows });
+                    }
+                    if filled_tx.send(Ok(db)).is_err() {
+                        return; // consumer dropped
+                    }
+                }
+                if ended {
+                    return;
                 }
             }
         });
@@ -154,7 +135,7 @@ impl DoubleBufferedReader {
             Err(e) => {
                 // Report the failed spawn through the normal error path
                 // instead of panicking the consumer.
-                let _ = spawn_tx.send(Filled::Err(e));
+                let _ = spawn_tx.send(Err(CfpError::Io(e)));
                 None
             }
         };
@@ -166,13 +147,12 @@ impl DoubleBufferedReader {
     ///
     /// The previous buffer should be handed back via
     /// [`recycle`](Self::recycle) to keep both buffers circulating.
-    pub fn next_chunk(&mut self) -> io::Result<Option<TransactionDb>> {
+    pub fn next_chunk(&mut self) -> Result<Option<TransactionDb>, CfpError> {
         let wait_t0 = cfp_trace::hist::maybe_now();
         let received = self.filled_rx.recv();
         cfp_trace::hist::record_since(&cfp_trace::hist::DATA_BUFFER_WAIT_NANOS, wait_t0);
         match received {
-            Ok(Filled::Chunk(db)) => Ok(Some(db)),
-            Ok(Filled::Err(e)) => Err(e),
+            Ok(filled) => filled.map(Some),
             Err(_) => Ok(None), // worker finished and dropped its sender
         }
     }
@@ -192,26 +172,28 @@ impl DoubleBufferedReader {
     }
 
     /// Drives the whole stream through `f`, recycling buffers internally.
-    pub fn for_each_transaction(mut self, mut f: impl FnMut(&[Item])) -> io::Result<()> {
-        while let Some(chunk) = self.next_chunk()? {
-            for t in chunk.iter() {
-                f(t);
-            }
-            self.recycle(chunk);
-        }
-        Ok(())
+    pub fn for_each_transaction(self, mut f: impl FnMut(&[Item])) -> Result<(), CfpError> {
+        self.try_for_each_transaction(|t| {
+            f(t);
+            Ok(())
+        })
+        .map(drop)
     }
 
-    /// Collects the entire stream into one database.
-    pub fn collect(mut self) -> io::Result<TransactionDb> {
-        let mut out = TransactionDb::new();
+    /// Drives the stream through `f` until it ends or `f` fails (the
+    /// reader thread is then stopped), returning the final parse
+    /// statistics.
+    pub fn try_for_each_transaction(
+        mut self,
+        mut f: impl FnMut(&[Item]) -> Result<(), CfpError>,
+    ) -> Result<ParseStats, CfpError> {
         while let Some(chunk) = self.next_chunk()? {
             for t in chunk.iter() {
-                out.push(t);
+                f(t)?;
             }
             self.recycle(chunk);
         }
-        Ok(out)
+        Ok(self.parse_stats())
     }
 }
 
@@ -230,7 +212,13 @@ impl Drop for DoubleBufferedReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fimi;
+
+    /// Collects the entire stream into one database.
+    fn collect(rdr: DoubleBufferedReader) -> Result<TransactionDb, CfpError> {
+        let mut out = TransactionDb::new();
+        rdr.for_each_transaction(|t| out.push(t))?;
+        Ok(out)
+    }
 
     fn sample_text(n: usize) -> String {
         let mut s = String::new();
@@ -243,19 +231,26 @@ mod tests {
     #[test]
     fn collect_matches_plain_reader() {
         let text = sample_text(1000);
-        let via_plain = fimi::read(text.as_bytes()).unwrap();
-        let via_db =
-            DoubleBufferedReader::with_chunk_size(std::io::Cursor::new(text.into_bytes()), 64)
-                .collect()
-                .unwrap();
+        let rows: Vec<Vec<Item>> =
+            (0..1000).map(|i| vec![i % 10, i % 7 + 10, i % 3 + 20]).collect();
+        let via_plain = TransactionDb::from_rows(&rows);
+        let via_db = collect(DoubleBufferedReader::with_policy(
+            std::io::Cursor::new(text.into_bytes()),
+            64,
+            ParsePolicy::Strict,
+        ))
+        .unwrap();
         assert_eq!(via_db, via_plain);
     }
 
     #[test]
     fn for_each_visits_every_transaction_in_order() {
         let text = sample_text(257); // not a multiple of the chunk size
-        let rdr =
-            DoubleBufferedReader::with_chunk_size(std::io::Cursor::new(text.into_bytes()), 100);
+        let rdr = DoubleBufferedReader::with_policy(
+            std::io::Cursor::new(text.into_bytes()),
+            100,
+            ParsePolicy::Strict,
+        );
         let mut seen = Vec::new();
         rdr.for_each_transaction(|t| seen.push(t.to_vec())).unwrap();
         assert_eq!(seen.len(), 257);
@@ -266,14 +261,14 @@ mod tests {
     #[test]
     fn empty_input_yields_nothing() {
         let rdr = DoubleBufferedReader::new(std::io::Cursor::new(Vec::<u8>::new()));
-        let db = rdr.collect().unwrap();
+        let db = collect(rdr).unwrap();
         assert!(db.is_empty());
     }
 
     #[test]
     fn parse_errors_propagate() {
         let rdr = DoubleBufferedReader::new(std::io::Cursor::new(b"1 2\n3 oops\n".to_vec()));
-        assert!(rdr.collect().is_err());
+        assert!(collect(rdr).is_err());
     }
 
     #[test]
@@ -282,9 +277,9 @@ mod tests {
             DoubleBufferedReader::new(std::io::Cursor::new(b"1 2\n2 3\nbad x\n".to_vec()));
         let first = rdr.next_chunk();
         // The single chunk errors out because the bad line arrives before
-        // the chunk boundary; the message names line 3.
+        // the chunk boundary; the structured error names line 3.
         let err = first.expect_err("strict parse must fail");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(matches!(err, CfpError::Parse { line: 3, .. }), "{err:?}");
         assert!(err.to_string().contains("line 3"), "{err}");
     }
 
@@ -365,9 +360,12 @@ mod tests {
     fn buffer_swaps_land_on_the_reader_threads_event_track() {
         cfp_trace::events::set_capture(true);
         let text = sample_text(250);
-        let rdr =
-            DoubleBufferedReader::with_chunk_size(std::io::Cursor::new(text.into_bytes()), 100);
-        let db = rdr.collect().unwrap();
+        let rdr = DoubleBufferedReader::with_policy(
+            std::io::Cursor::new(text.into_bytes()),
+            100,
+            ParsePolicy::Strict,
+        );
+        let db = collect(rdr).unwrap();
         assert_eq!(db.len(), 250);
         cfp_trace::events::set_capture(false);
         let tracks = cfp_trace::events::drain();
@@ -391,8 +389,11 @@ mod tests {
     #[test]
     fn dropping_early_does_not_hang() {
         let text = sample_text(100_000);
-        let mut rdr =
-            DoubleBufferedReader::with_chunk_size(std::io::Cursor::new(text.into_bytes()), 128);
+        let mut rdr = DoubleBufferedReader::with_policy(
+            std::io::Cursor::new(text.into_bytes()),
+            128,
+            ParsePolicy::Strict,
+        );
         let first = rdr.next_chunk().unwrap();
         assert!(first.is_some());
         drop(rdr); // must join cleanly even with data still in flight

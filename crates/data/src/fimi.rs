@@ -2,10 +2,11 @@
 //! integers separated by spaces. All datasets of the FIMI repository use
 //! this format, and so do our generated datasets.
 
+use crate::double_buffer::{DoubleBufferedReader, DEFAULT_CHUNK};
 use crate::types::{Item, TransactionDb};
 use cfp_fault::CfpError;
 use cfp_trace::counters as tc;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
 /// How a reader treats malformed input lines.
@@ -32,20 +33,6 @@ pub struct ParseStats {
     pub skipped_lines: u64,
     /// Malformed tokens across all skipped lines.
     pub bad_tokens: u64,
-}
-
-/// Parses one FIMI line into items, appending to `out`.
-///
-/// Returns an error on any token that is not a `u32`. Empty lines are valid
-/// empty transactions.
-pub fn parse_line(line: &str, out: &mut Vec<Item>) -> io::Result<()> {
-    for tok in line.split_ascii_whitespace() {
-        let item: Item = tok.parse().map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad item {tok:?}: {e}"))
-        })?;
-        out.push(item);
-    }
-    Ok(())
 }
 
 /// Parses one FIMI line under `policy`, appending valid items to `out`.
@@ -90,38 +77,19 @@ pub fn parse_line_with_policy(
     Ok(true)
 }
 
-/// Reads a whole FIMI stream into a [`TransactionDb`].
-pub fn read(reader: impl Read) -> io::Result<TransactionDb> {
-    read_with_policy(reader, ParsePolicy::Strict).map(|(db, _)| db).map_err(io::Error::from)
-}
-
-/// Reads a whole FIMI stream under the given [`ParsePolicy`].
+/// Reads a whole FIMI stream under the given [`ParsePolicy`] into memory
+/// (through the double-buffered reader that streams a [`crate::Source`]).
 pub fn read_with_policy(
-    reader: impl Read,
+    reader: impl Read + Send + 'static,
     policy: ParsePolicy,
 ) -> Result<(TransactionDb, ParseStats), CfpError> {
     let mut db = TransactionDb::new();
-    let mut stats = ParseStats::default();
-    let mut buf = BufReader::new(reader);
-    let mut line = String::new();
-    let mut items = Vec::new();
-    loop {
-        line.clear();
-        if buf.read_line(&mut line)? == 0 {
-            break;
-        }
-        stats.lines += 1;
-        items.clear();
-        if parse_line_with_policy(&line, stats.lines, policy, &mut items, &mut stats)? {
-            db.push(&items);
-        }
-    }
+    let stats = DoubleBufferedReader::with_policy(reader, DEFAULT_CHUNK, policy)
+        .try_for_each_transaction(|t| {
+            db.push(t);
+            Ok(())
+        })?;
     Ok((db, stats))
-}
-
-/// Reads a FIMI file from disk.
-pub fn read_file(path: impl AsRef<Path>) -> io::Result<TransactionDb> {
-    read(std::fs::File::open(path)?)
 }
 
 /// Reads a FIMI file from disk under the given [`ParsePolicy`].
@@ -190,6 +158,17 @@ mod tests {
                 prop_assert_eq!(read(buf.as_slice()).unwrap(), db);
             }
         }
+    }
+
+    /// Reads a whole stream strictly.
+    fn read(bytes: &[u8]) -> Result<TransactionDb, CfpError> {
+        read_with_policy(std::io::Cursor::new(bytes.to_vec()), ParsePolicy::Strict)
+            .map(|(db, _)| db)
+    }
+
+    /// Parses one line strictly, as line 1.
+    fn parse_line(line: &str, out: &mut Vec<Item>) -> Result<bool, CfpError> {
+        parse_line_with_policy(line, 1, ParsePolicy::Strict, out, &mut ParseStats::default())
     }
 
     #[test]
@@ -346,7 +325,7 @@ mod tests {
         let path = dir.join("rt.dat");
         let db = TransactionDb::from_rows(&[vec![1, 2], vec![3]]);
         write_file(&db, &path).unwrap();
-        assert_eq!(read_file(&path).unwrap(), db);
+        assert_eq!(read_file_with_policy(&path, ParsePolicy::Strict).unwrap().0, db);
         std::fs::remove_file(&path).ok();
     }
 }

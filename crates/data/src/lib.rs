@@ -16,7 +16,9 @@
 //!   scale, with fixed seeds for reproducibility.
 //! - [`miner`]: the [`miner::Miner`] trait all algorithms implement
 //!   and the [`miner::ItemsetSink`] output abstraction.
-//! - [`partition`]: item-range projections of a database for exact
+//! - [`source`]: the re-scannable transaction [`Source`] (a streamed FIMI
+//!   file or a database in memory) and its cached pass-1 [`Counts`].
+//! - [`partition`]: item-range projections of a source for exact
 //!   partitioned fallback mining under a memory budget (Grahne & Zhu).
 //! - [`spill`]: crash-safe spill files (atomic write-fsync-rename, RAII
 //!   directory cleanup, bounded retries, I/O failpoints) backing the
@@ -37,6 +39,7 @@ pub mod partition;
 pub mod profiles;
 pub mod quest;
 pub mod rng;
+pub mod source;
 pub mod spill;
 pub mod types;
 pub mod zipf;
@@ -46,4 +49,5 @@ pub use count::ItemRecoder;
 pub use fimi::{ParsePolicy, ParseStats};
 pub use lock::DirLock;
 pub use miner::{ItemsetSink, MineProgress, MineStats, Miner, OutputMode};
+pub use source::{Counts, Source};
 pub use types::{Item, TransactionDb};

@@ -22,8 +22,10 @@
 //! item's support bounds the number of tree nodes it can contribute, so
 //! equal-mass ranges give roughly equal projection footprints.
 
-use crate::count::ItemRecoder;
+use crate::count::{count_transaction, ItemRecoder};
+use crate::source::{Counts, Source};
 use crate::types::{Item, TransactionDb};
+use cfp_fault::CfpError;
 
 /// Splits the recoded item domain `[0, num_items)` into `k` contiguous
 /// ranges `(lo, hi)` of roughly equal support mass.
@@ -60,8 +62,9 @@ pub fn ranges_by_mass(recoder: &ItemRecoder, k: usize) -> Vec<(u32, u32)> {
     ranges
 }
 
-/// Builds the projection `DB_j` of `db` for the recoded item range
-/// `[lo, hi)` under `recoder`'s global order.
+/// Builds the projection `DB_j` of `source` for the recoded item range
+/// `[lo, hi)` under `recoder`'s global order, in one sequential pass (the
+/// secondary-memory strategy of Grahne & Zhu), counting it as it is cut.
 ///
 /// A transaction enters the projection iff it contains a frequent item
 /// whose recoded id is in `[lo, hi)`; of its items, those recoded below
@@ -70,27 +73,50 @@ pub fn ranges_by_mass(recoder: &ItemRecoder, k: usize) -> Vec<(u32, u32)> {
 /// dropped — they cannot appear in any frequent itemset, and any item of
 /// a globally frequent itemset is also frequent within the projection
 /// (its projected support is at least the itemset's global support).
-pub fn project(db: &TransactionDb, recoder: &ItemRecoder, lo: u32, hi: u32) -> TransactionDb {
-    let mut out = TransactionDb::new();
-    let mut recoded: Vec<u32> = Vec::new();
-    let mut items: Vec<Item> = Vec::new();
-    for t in db.iter() {
-        recoded.clear();
+/// Projecting a projection of a range containing `[lo, hi)` gives the
+/// same database as projecting the whole source.
+pub fn project(
+    source: &Source<'_>,
+    recoder: &ItemRecoder,
+    lo: u32,
+    hi: u32,
+) -> Result<Source<'static>, CfpError> {
+    let (mut out, mut counts) = (TransactionDb::new(), Counts::default());
+    let (mut recoded, mut items): (Vec<u32>, Vec<Item>) = (Vec::new(), Vec::new());
+    source.for_each(|t| {
         recoder.recode_transaction(t, &mut recoded);
-        if !recoded.iter().any(|&i| lo <= i && i < hi) {
-            continue;
+        if recoded.iter().any(|&i| lo <= i && i < hi) {
+            items.clear();
+            items.extend(recoded.iter().filter(|&&i| i < hi).map(|&i| recoder.original(i)));
+            items.sort_unstable();
+            count_transaction(&items, &mut counts.supports);
+            out.push(&items);
         }
-        items.clear();
-        items.extend(recoded.iter().filter(|&&i| i < hi).map(|&i| recoder.original(i)));
-        items.sort_unstable();
-        out.push(&items);
-    }
-    out
+        Ok(())
+    })?;
+    counts.transactions = out.len() as u64;
+    Ok(Source::counted(out, counts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The projection's transactions, checked against its cached counts.
+    fn project_rows(db: &TransactionDb, recoder: &ItemRecoder, lo: u32, hi: u32) -> Vec<Vec<Item>> {
+        let proj = project(&Source::from(db), recoder, lo, hi).unwrap();
+        let mut rows = Vec::new();
+        proj.for_each(|t| {
+            rows.push(t.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        let recount = TransactionDb::from_rows(&rows);
+        let counts = proj.counts().unwrap();
+        assert_eq!(counts.transactions, rows.len() as u64);
+        assert_eq!(counts.recoder(1).supports(), ItemRecoder::scan(&recount, 1).supports());
+        rows
+    }
 
     /// The textbook dataset used across the workspace (items 1..=5).
     fn textbook() -> TransactionDb {
@@ -161,7 +187,7 @@ mod tests {
         // The last range: rows must contain one of its items; all
         // frequent items are kept as context (hi == n).
         let lo = n - 1;
-        let proj = project(&db, &recoder, lo, n);
+        let proj = project_rows(&db, &recoder, lo, n);
         let rare_original = recoder.original(n - 1);
         for t in proj.iter() {
             assert!(t.contains(&rare_original), "{t:?} lacks the range item");
@@ -171,7 +197,7 @@ mod tests {
 
         // The first range keeps only items recoded below its hi.
         let (lo0, hi0) = (0u32, 1u32);
-        let proj0 = project(&db, &recoder, lo0, hi0);
+        let proj0 = project_rows(&db, &recoder, lo0, hi0);
         let top_original = recoder.original(0);
         for t in proj0.iter() {
             assert_eq!(t, &[top_original], "only the top item fits below hi=1");
@@ -186,7 +212,7 @@ mod tests {
         let db = TransactionDb::from_rows(&[vec![1, 2, 99], vec![1, 2], vec![1, 2]]);
         let recoder = ItemRecoder::scan(&db, 2);
         let n = recoder.num_items() as u32;
-        let proj = project(&db, &recoder, 0, n);
+        let proj = project_rows(&db, &recoder, 0, n);
         for t in proj.iter() {
             assert!(!t.contains(&99), "infrequent item must not survive projection");
         }

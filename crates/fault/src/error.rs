@@ -195,8 +195,8 @@ impl From<io::Error> for CfpError {
     }
 }
 
-/// Lossy back-conversion for APIs whose signature predates [`CfpError`]
-/// (`fimi::read` and friends return `io::Result`).
+/// Lossy back-conversion for callers that report through `io::Result`
+/// (an I/O failure keeps its kind).
 impl From<CfpError> for io::Error {
     fn from(e: CfpError) -> Self {
         match e {

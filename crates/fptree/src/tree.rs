@@ -1,6 +1,6 @@
 //! The ternary FP-tree data structure.
 
-use cfp_data::{ItemRecoder, TransactionDb};
+use cfp_data::{CfpError, ItemRecoder, Source, TransactionDb};
 use cfp_metrics::HeapSize;
 
 /// The null "pointer" (node index).
@@ -65,13 +65,20 @@ impl FpTree {
     /// Builds the initial FP-tree from a database: recodes every
     /// transaction and inserts it with weight 1.
     pub fn from_db(db: &TransactionDb, recoder: &ItemRecoder) -> Self {
+        Self::from_source(&Source::from(db), recoder).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`from_db`](Self::from_db) over any [`Source`]: one pass, failing
+    /// only when the source's input does.
+    pub fn from_source(source: &Source<'_>, recoder: &ItemRecoder) -> Result<Self, CfpError> {
         let mut tree = FpTree::new(recoder.num_items());
         let mut buf = Vec::new();
-        for t in db.iter() {
+        source.for_each(|t| {
             recoder.recode_transaction(t, &mut buf);
             tree.insert(&buf, 1);
-        }
-        tree
+            Ok(())
+        })?;
+        Ok(tree)
     }
 
     /// Number of items this tree was created for.

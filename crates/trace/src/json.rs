@@ -422,7 +422,7 @@ mod tests {
     #[test]
     fn round_trips_a_report_shaped_document() {
         let doc = Json::Obj(vec![
-            ("schema".into(), Json::str("cfp-profile/1")),
+            ("schema".into(), Json::str("cfp-profile/2")),
             ("wall_nanos".into(), Json::u64(123_456_789_012)),
             ("ok".into(), Json::Bool(true)),
             ("nothing".into(), Json::Null),

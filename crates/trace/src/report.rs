@@ -13,18 +13,14 @@ use crate::memstat::MemSummary;
 use crate::sampler::Sample;
 use crate::span::{self, PhaseSpan};
 
-/// Schema identifier of the current report layout. `/2` adds the
+/// Schema identifier of the current report layout. `/2` added the
 /// `events` summary block (with its `dropped_events` accounting) for the
-/// event-timeline layer; everything a `/1` consumer reads is unchanged.
+/// event-timeline layer to the retired `/1` layout.
 pub const SCHEMA: &str = "cfp-profile/2";
-
-/// The previous schema. [`schema_is_supported`] keeps accepting it: `/2`
-/// only added fields, so `/1` documents parse with the same code.
-pub const SCHEMA_V1: &str = "cfp-profile/1";
 
 /// Whether `schema` names a report layout this crate can read.
 pub fn schema_is_supported(schema: &str) -> bool {
-    schema == SCHEMA || schema == SCHEMA_V1
+    schema == SCHEMA
 }
 
 /// One rung of the recovery ladder, as reported by the run supervisor.
@@ -43,8 +39,7 @@ pub struct RungOutcome {
 }
 
 /// The `degradation` section of a profile: what the supervisor did after
-/// the initial attempt failed. Absent on healthy runs (additive to the
-/// `cfp-profile/1` schema).
+/// the initial attempt failed. Absent on healthy runs.
 #[derive(Clone, Debug)]
 pub struct DegradationReport {
     /// Recovery policy in force (`"retry"`, `"degrade"`, `"partition"`).
@@ -73,7 +68,7 @@ pub struct RunReport {
     pub threads: u64,
     /// Mine-phase schedule of a parallel run (`"dynamic"`; reports from
     /// older builds may also say `"static"`); absent for sequential runs
-    /// and non-cfp algorithms (additive to the `cfp-profile/1` schema).
+    /// and non-cfp algorithms.
     pub schedule: Option<String>,
     /// Frequent itemsets found.
     pub itemsets: u64,
@@ -387,7 +382,7 @@ mod tests {
     #[test]
     fn both_schema_generations_are_supported() {
         assert!(schema_is_supported(SCHEMA));
-        assert!(schema_is_supported("cfp-profile/1"), "v1 documents must keep parsing");
+        assert!(!schema_is_supported("cfp-profile/1"), "v1 read support is retired");
         assert!(schema_is_supported("cfp-profile/2"));
         assert!(!schema_is_supported("cfp-profile/3"));
         assert!(!schema_is_supported("something-else/1"));

@@ -24,7 +24,7 @@
 use crate::node::{
     self, embed, is_embedded, unembed, ChainNode, PtrField, StdNode, EMBED_MAX_DITEM,
 };
-use cfp_data::{ItemRecoder, TransactionDb};
+use cfp_data::{ItemRecoder, Source, TransactionDb};
 use cfp_encoding::mask::{is_chain, MAX_CHAIN_LEN};
 use cfp_fault::CfpError;
 use cfp_memman::{AllocError, Arena, ArenaOptions, MemoryBudget};
@@ -198,13 +198,25 @@ impl CfpTree {
         recoder: &ItemRecoder,
         opts: ArenaOptions,
     ) -> Result<Self, CfpError> {
+        Self::try_from_source_with(&Source::from(db), recoder, opts)
+    }
+
+    /// Pass 2 over any [`Source`]: recodes each transaction and inserts
+    /// it with weight 1. A file source streams through the double-buffered
+    /// reader and stops at the first failure — the input's, or the
+    /// build's memory exhaustion (phase `"build"`).
+    pub fn try_from_source_with(
+        source: &Source<'_>,
+        recoder: &ItemRecoder,
+        opts: ArenaOptions,
+    ) -> Result<Self, CfpError> {
         let mut tree =
             CfpTree::try_with_options(recoder.num_items(), CfpTreeConfig::default(), opts)?;
         let mut buf = Vec::new();
-        for t in db.iter() {
+        source.for_each(|t| {
             recoder.recode_transaction(t, &mut buf);
-            tree.try_insert(&buf, 1).map_err(|e| CfpError::from(e).with_phase("build"))?;
-        }
+            tree.try_insert(&buf, 1).map_err(|e| CfpError::from(e).with_phase("build"))
+        })?;
         Ok(tree)
     }
 

@@ -11,10 +11,10 @@
 //! cargo run --release -p cfp-examples --bin mining_image
 //! ```
 
-use cfp_core::{mine_file, CfpGrowthMiner, CountingSink, MiningImage};
-use cfp_data::{fimi, profiles};
+use cfp_core::{CfpGrowthMiner, CountingSink, MineOpts, MiningImage, Source};
+use cfp_data::{fimi, profiles, ParsePolicy};
 
-fn main() -> std::io::Result<()> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join("cfp_example_image");
     std::fs::create_dir_all(&dir)?;
     let data_path = dir.join("retail.dat");
@@ -29,8 +29,14 @@ fn main() -> std::io::Result<()> {
 
     // 2. Stream-mine the file directly (two passes, two fixed buffers).
     let min_support = profile.absolute_support(&db, 2);
+    let source = Source::file(&data_path, ParsePolicy::Strict);
     let mut sink = CountingSink::new();
-    let stats = mine_file(&CfpGrowthMiner::new(), &data_path, min_support, &mut sink)?;
+    let stats = CfpGrowthMiner::new().try_mine_with(
+        &source,
+        min_support,
+        &mut sink,
+        &MineOpts::default(),
+    )?;
     println!(
         "streamed mining at support {min_support}: {} itemsets in {:.2?}, peak {}",
         sink.count,
@@ -39,8 +45,8 @@ fn main() -> std::io::Result<()> {
     );
 
     // 3. Build and persist a mining image at the lowest support of
-    //    interest.
-    let image = MiningImage::build(&db, min_support);
+    //    interest, from the same source (pass 1 is not repeated).
+    let image = MiningImage::try_build(&source, min_support)?;
     image.save(&image_path)?;
     let image_size = std::fs::metadata(&image_path)?.len();
     println!(

@@ -8,7 +8,9 @@
 //! memory and its disk store — must produce exactly the itemsets the
 //! apriori and eclat oracles produce. The parallel runs must additionally
 //! match the sequential miner's raw emission order, not just the same
-//! set.
+//! set. The case is also written to a FIMI file and mined through the
+//! streamed file source (sequential, two workers, and both partition
+//! stores), which must repeat the in-memory source's stream exactly.
 //!
 //! Failures are collected across the whole seed range and reported with
 //! the smallest failing seed and a diff summary, so a regression
@@ -19,10 +21,10 @@
 //! singleton, uniform, and heavy-tailed regimes.
 
 use cfp_baselines::{AprioriMiner, EclatMiner};
-use cfp_core::{CfpGrowthMiner, CollectSink, MineOpts, Miner, ParallelCfpGrowthMiner};
+use cfp_core::{CfpGrowthMiner, CollectSink, MineOpts, Miner, ParallelCfpGrowthMiner, Source};
 use cfp_data::rng::{Rng, StdRng};
 use cfp_data::zipf::Zipf;
-use cfp_data::{CfpError, Item, ItemsetSink, MineProgress, TransactionDb};
+use cfp_data::{fimi, CfpError, Item, ItemsetSink, MineProgress, ParsePolicy, TransactionDb};
 use std::collections::BTreeSet;
 
 const SEEDS: u64 = 64;
@@ -87,6 +89,15 @@ fn mine_raw(miner: &dyn Miner, db: &TransactionDb, minsup: u64) -> Vec<(Vec<Item
     let mut sink = CollectSink::new();
     miner.mine(db, minsup, &mut sink);
     sink.itemsets
+}
+
+/// One run's raw emission stream, or its failure.
+fn mine_source<T>(
+    run: impl FnOnce(&mut CollectSink) -> Result<T, CfpError>,
+) -> Result<Vec<(Vec<Item>, u64)>, CfpError> {
+    let mut sink = CollectSink::new();
+    run(&mut sink)?;
+    Ok(sink.itemsets)
 }
 
 fn sorted(mut itemsets: Vec<(Vec<Item>, u64)>) -> Vec<(Vec<Item>, u64)> {
@@ -271,11 +282,44 @@ fn check_seed(seed: u64) -> Result<(), String> {
         );
     }
 
+    // The file source: the case written as a FIMI file and streamed in
+    // two passes must give the in-memory emission stream byte for byte,
+    // sequentially and on two workers.
+    let path =
+        std::env::temp_dir().join(format!("cfp-differential-{}-{seed}.dat", std::process::id()));
+    fimi::write_file(&case.db, &path).expect("write the case");
+    let file = Source::file(&path, ParsePolicy::Strict);
+    for (name, mined) in [
+        (
+            "cfp-file/sequential",
+            mine_source(|sink| {
+                CfpGrowthMiner::new().try_mine_with(&file, case.minsup, sink, &MineOpts::default())
+            }),
+        ),
+        (
+            "cfp-file/dynamicx2",
+            mine_source(|sink| {
+                ParallelCfpGrowthMiner::new(2).try_mine_source(&file, case.minsup, sink)
+            }),
+        ),
+    ] {
+        match mined {
+            Ok(raw) if raw != seq_raw => problems.push(format!(
+                "{name}: emission diverged from the in-memory source ({} vs {} itemsets)",
+                raw.len(),
+                seq_raw.len()
+            )),
+            Ok(raw) => problems.extend(diff_summary(name, &oracle, &sorted(raw))),
+            Err(e) => problems.push(format!("{name}: failed with {e}")),
+        }
+    }
+
     // Partitioned: the rung run directly, with the memory store and with
     // the disk store, must produce exactly the in-memory result on every
     // shape — the store is the only difference between the two, and the
     // disk round trip is an identity transformation of each partition's
-    // array.
+    // array. Projected from the file source, each store must repeat its
+    // in-memory stream byte for byte.
     for (name, policy) in [
         ("cfp-partition", cfp_core::RecoveryPolicy::Partition),
         ("cfp-spill", cfp_core::RecoveryPolicy::Spill),
@@ -287,11 +331,22 @@ fn check_seed(seed: u64) -> Result<(), String> {
             spill_dir: Some(parent.clone()),
             ..cfp_core::Supervisor::new(policy)
         };
-        let mut sink = CollectSink::new();
-        let (r, _) = sup.mine_out_of_core(&case.db, case.minsup, &mut sink, None);
-        match r {
-            Ok(_) => problems.extend(diff_summary(name, &oracle, &sorted(sink.itemsets))),
-            Err(e) => problems.push(format!("{name}: failed with {e}")),
+        let mem = mine_source(|sink| sup.mine_out_of_core(&case.db, case.minsup, sink, None).0);
+        let from_file = mine_source(|sink| sup.mine_out_of_core(&file, case.minsup, sink, None).0);
+        match (mem, from_file) {
+            (Ok(mem), Ok(from_file)) => {
+                if from_file != mem {
+                    problems.push(format!(
+                        "{name}/file: emission diverged from the in-memory source ({} vs {} \
+                         itemsets)",
+                        from_file.len(),
+                        mem.len()
+                    ));
+                }
+                problems.extend(diff_summary(name, &oracle, &sorted(mem)));
+            }
+            (Err(e), _) => problems.push(format!("{name}: failed with {e}")),
+            (_, Err(e)) => problems.push(format!("{name}/file: failed with {e}")),
         }
         let leftovers = std::fs::read_dir(&parent).map(|it| it.count()).unwrap_or(0);
         if leftovers != 0 {
@@ -299,6 +354,7 @@ fn check_seed(seed: u64) -> Result<(), String> {
         }
         let _ = std::fs::remove_dir_all(&parent);
     }
+    std::fs::remove_file(&path).ok();
 
     if problems.is_empty() {
         Ok(())

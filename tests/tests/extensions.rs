@@ -1,12 +1,12 @@
 //! Integration tests of the extension layers: parallel mining, mining
-//! images, streaming file mining, and rule generation — all cross-checked
+//! images, streaming file sources, and rule generation — all cross-checked
 //! against the sequential in-memory pipeline on realistic profiles.
 
 use cfp_core::{
-    mine_file, CfpGrowthMiner, CollectSink, CountingSink, Miner, MiningImage,
-    ParallelCfpGrowthMiner,
+    CfpGrowthMiner, CollectSink, CountingSink, MineOpts, Miner, MiningImage,
+    ParallelCfpGrowthMiner, Source,
 };
-use cfp_data::{fimi, profiles};
+use cfp_data::{fimi, profiles, ParsePolicy};
 use cfp_integration::fingerprint;
 use cfp_rules::{closed_itemsets, maximal_itemsets, RuleMiner};
 
@@ -56,7 +56,10 @@ fn file_mining_equals_in_memory_on_a_profile() {
     fimi::write_file(&db, &path).unwrap();
 
     let mut from_file = CountingSink::new();
-    let stats = mine_file(&CfpGrowthMiner::new(), &path, minsup, &mut from_file).unwrap();
+    let source = Source::file(&path, ParsePolicy::Strict);
+    let stats = CfpGrowthMiner::new()
+        .try_mine_with(source, minsup, &mut from_file, &MineOpts::default())
+        .unwrap();
     let direct = fingerprint(&CfpGrowthMiner::new(), &db, minsup);
     assert_eq!((from_file.count, from_file.support_sum, from_file.item_sum), direct);
     assert!(stats.tree_nodes > 0);

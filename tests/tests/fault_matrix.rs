@@ -10,10 +10,14 @@
 #![cfg(feature = "fault")]
 
 use cfp_core::growth::try_build_tree;
-use cfp_core::{CfpGrowthMiner, CountingSink, ParallelCfpGrowthMiner, RecoveryPolicy, Supervisor};
+use cfp_core::{
+    CfpGrowthMiner, CountingSink, MineOpts, ParallelCfpGrowthMiner, RecoveryPolicy, Source,
+    Supervisor,
+};
 use cfp_data::double_buffer::DoubleBufferedReader;
-use cfp_data::{fimi, CfpError, ItemRecoder, Miner, ParsePolicy, TransactionDb};
-use cfp_fault::{clear_all, configure, fired, FaultMode};
+use cfp_data::rng::{Rng, StdRng};
+use cfp_data::{fimi, CfpError, ItemRecoder, MineStats, Miner, ParsePolicy, TransactionDb};
+use cfp_fault::{calls, clear_all, configure, fired, FaultMode};
 use cfp_tree::CfpTree;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -184,6 +188,80 @@ fn injected_read_failure_delivers_earlier_chunks_then_errors() {
     assert!(err.to_string().contains("injected I/O failure"), "{err}");
     assert_eq!(fired("data.read"), 1);
     clear_all();
+}
+
+/// Class 4 in real runs — an I/O failure while a file source streams
+/// ("data.read"), struck in every pass a run makes: pass 1, each tree
+/// build, and each projection of the spill rung. Sequential, two-worker
+/// and spill-supervised runs all fail with a structured `Io` (exit 1),
+/// emit nothing, and leave no spill state behind.
+#[test]
+fn injected_read_failure_fails_every_file_run_structurally() {
+    let _g = armed();
+    // Three nearly-disjoint item blocks, fewer rows than one reader
+    // chunk: every pass reads the whole file (one call per line, plus
+    // the end-of-file read) before its consumer sees a row, so call `n`
+    // strikes a known pass whatever the consumer does with earlier ones.
+    let mut rng = StdRng::seed_from_u64(4242);
+    let mut db = TransactionDb::new();
+    for block in 0u32..3 {
+        for _ in 0..60 {
+            let t: Vec<u32> =
+                (0..8).filter(|_| rng.gen_bool(0.6)).map(|i| block * 100 + i).collect();
+            db.push(&t);
+        }
+    }
+    let path = std::env::temp_dir().join(format!("cfp-fault-read-{}.dat", std::process::id()));
+    fimi::write_file(&db, &path).unwrap();
+    let source = || Source::file(&path, ParsePolicy::Strict);
+    let per_pass = db.len() as u64 + 1;
+    // A budget below the monolithic tree: the supervised run climbs its
+    // ladder into the spill rung.
+    let (_, tree) = try_build_tree(&db, 3, None).unwrap();
+    let (parent, sup) = spill_setup("data-read");
+    let sup = Supervisor { threads: 2, mem_budget: Some(tree.arena_footprint() * 2 / 3), ..sup };
+    drop(tree);
+
+    type Run<'a> = Box<dyn Fn(&mut CountingSink) -> Result<MineStats, CfpError> + 'a>;
+    let runs: [(&str, Run<'_>); 3] = [
+        (
+            "sequential",
+            Box::new(|sink| {
+                CfpGrowthMiner::new().try_mine_with(source(), 3, sink, &MineOpts::default())
+            }),
+        ),
+        (
+            "2 workers",
+            Box::new(|sink| ParallelCfpGrowthMiner::new(2).try_mine_source(source(), 3, sink)),
+        ),
+        ("spill", Box::new(|sink| sup.mine(source(), 3, sink).0)),
+    ];
+    for (name, run) in &runs {
+        // Armed but never firing: counts the reads of a clean run.
+        configure("data.read", FaultMode::Nth(u64::MAX));
+        let mut sink = CountingSink::new();
+        run(&mut sink).unwrap_or_else(|e| panic!("{name}: clean run failed: {e}"));
+        assert!(sink.count > 0);
+        let passes = calls("data.read") / per_pass;
+        assert_eq!(calls("data.read"), passes * per_pass, "{name}: whole passes only");
+        assert!(passes >= 2, "{name}: {passes} pass(es)");
+        for pass in 0..passes {
+            for n in [pass * per_pass + 1, (pass + 1) * per_pass] {
+                configure("data.read", FaultMode::Nth(n));
+                let mut sink = CountingSink::new();
+                let err = run(&mut sink).expect_err("an unreadable input fails the run");
+                assert!(matches!(err, CfpError::Io(_)), "{name}, read {n}: {err:?}");
+                assert_eq!(err.exit_code(), 1);
+                assert_eq!(fired("data.read"), 1);
+                assert_eq!(sink.count, 0, "{name}, read {n}: nothing may reach the sink");
+                let leftovers = std::fs::read_dir(&parent).map(|it| it.count()).unwrap_or(0);
+                assert_eq!(leftovers, 0, "{name}, read {n}: stray spill state");
+            }
+        }
+    }
+    clear_all();
+    assert_spill_dir_clean(&parent);
+    std::fs::remove_file(&path).ok();
 }
 
 /// Class 5 — malformed input (no failpoint needed): strict parsing cites

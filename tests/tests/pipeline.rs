@@ -3,7 +3,7 @@
 
 use cfp_core::{CfpGrowthMiner, CountingSink, Miner};
 use cfp_data::double_buffer::DoubleBufferedReader;
-use cfp_data::{fimi, profiles, ItemRecoder, TransactionDb};
+use cfp_data::{fimi, profiles, ItemRecoder, ParsePolicy, TransactionDb};
 use cfp_fptree::{FpGrowthMiner, FpTree};
 use cfp_integration::mine_sorted;
 use cfp_tree::CfpTree;
@@ -22,7 +22,7 @@ fn fimi_file_to_itemsets() {
     ]);
     fimi::write_file(&db, &path).unwrap();
 
-    let loaded = fimi::read_file(&path).unwrap();
+    let loaded = fimi::read_file_with_policy(&path, ParsePolicy::Strict).unwrap().0;
     assert_eq!(loaded, db);
     let got = mine_sorted(&CfpGrowthMiner::new(), &loaded, 2);
     assert_eq!(got, vec![(vec![1], 3), (vec![1, 4], 2), (vec![3], 2), (vec![4], 2), (vec![5], 2)]);
@@ -42,7 +42,7 @@ fn double_buffered_reader_feeds_identical_tree() {
     let recoder = ItemRecoder::scan(&db, minsup);
     let mut streamed = CfpTree::new(recoder.num_items());
     let mut buf = Vec::new();
-    DoubleBufferedReader::with_chunk_size(std::io::Cursor::new(text), 999)
+    DoubleBufferedReader::with_policy(std::io::Cursor::new(text), 999, ParsePolicy::Strict)
         .for_each_transaction(|t| {
             recoder.recode_transaction(t, &mut buf);
             streamed.insert(&buf, 1);
