@@ -593,18 +593,43 @@ fn exit_for_write_error(e: &io::Error) -> ! {
     exit(1);
 }
 
-/// One itemset in FIMI output format: space-separated items followed by
-/// the support in parentheses, newline-terminated.
-fn fimi_line(itemset: &[u32], support: u64) -> String {
-    let mut line = String::with_capacity(itemset.len() * 7 + 12);
-    for (i, item) in itemset.iter().enumerate() {
-        if i > 0 {
-            line.push(' ');
+/// Writes itemsets in FIMI output format — space-separated items followed
+/// by the support in parentheses, newline-terminated — through one reused
+/// line buffer, so a line costs no allocation.
+#[derive(Default)]
+struct FimiLines {
+    line: Vec<u8>,
+}
+
+impl FimiLines {
+    fn write(&mut self, out: &mut impl Write, itemset: &[u32], support: u64) -> io::Result<()> {
+        self.line.clear();
+        for (i, &item) in itemset.iter().enumerate() {
+            if i > 0 {
+                self.line.push(b' ');
+            }
+            push_decimal(&mut self.line, item as u64);
         }
-        line.push_str(&item.to_string());
+        self.line.extend_from_slice(b" (");
+        push_decimal(&mut self.line, support);
+        self.line.extend_from_slice(b")\n");
+        out.write_all(&self.line)
     }
-    line.push_str(&format!(" ({support})\n"));
-    line
+}
+
+/// Appends the decimal digits of `v` to `out`.
+fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Streams itemsets straight to a writer in FIMI output format.
@@ -614,6 +639,7 @@ fn fimi_line(itemset: &[u32], support: u64) -> String {
 /// meaningful) and main exits through [`exit_for_write_error`].
 struct PrintSink<W: Write> {
     out: W,
+    lines: FimiLines,
     count: u64,
     err: Option<io::Error>,
 }
@@ -624,7 +650,7 @@ impl<W: Write> ItemsetSink for PrintSink<W> {
         if self.err.is_some() {
             return;
         }
-        if let Err(e) = self.out.write_all(fimi_line(itemset, support).as_bytes()) {
+        if let Err(e) = self.lines.write(&mut self.out, itemset, support) {
             self.err = Some(e);
         }
     }
@@ -633,8 +659,9 @@ impl<W: Write> ItemsetSink for PrintSink<W> {
 fn print_itemsets(itemsets: &[(Vec<u32>, u64)]) -> io::Result<()> {
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
+    let mut lines = FimiLines::default();
     for (items, support) in itemsets {
-        out.write_all(fimi_line(items, *support).as_bytes())?;
+        lines.write(&mut out, items, *support)?;
     }
     out.flush()
 }
@@ -683,6 +710,7 @@ fn sync_stdout() {
 /// first.
 struct CheckpointSink<'a> {
     out: io::BufWriter<CountingWriter<io::StdoutLock<'a>>>,
+    lines: FimiLines,
     err: Option<io::Error>,
     dir: std::path::PathBuf,
     /// Commit cadence in completed top-level items; spill partitions
@@ -747,7 +775,7 @@ impl ItemsetSink for CheckpointSink<'_> {
         if self.err.is_some() {
             return;
         }
-        if let Err(e) = self.out.write_all(fimi_line(itemset, support).as_bytes()) {
+        if let Err(e) = self.lines.write(&mut self.out, itemset, support) {
             self.err = Some(e);
         }
     }
@@ -986,6 +1014,7 @@ fn run_checkpointed(
     let stdout = std::io::stdout();
     let mut sink = CheckpointSink {
         out: io::BufWriter::new(CountingWriter { inner: stdout.lock(), written: 0 }),
+        lines: FimiLines::default(),
         err: None,
         dir: dir.to_path_buf(),
         every: opts.checkpoint_every,
@@ -1254,8 +1283,12 @@ fn main() {
         stats
     } else {
         let stdout = std::io::stdout();
-        let mut sink =
-            PrintSink { out: std::io::BufWriter::new(stdout.lock()), count: 0, err: None };
+        let mut sink = PrintSink {
+            out: std::io::BufWriter::new(stdout.lock()),
+            lines: FimiLines::default(),
+            count: 0,
+            err: None,
+        };
         let stats = match run.mine(&source, min_support, &mut sink, None, &mut degradation) {
             Ok(stats) => stats,
             Err(e) => {

@@ -1316,7 +1316,7 @@ fn sigterm_mid_mine_exits_8_with_a_committed_valid_manifest() {
     use std::process::Stdio;
 
     // A dataset heavy enough that the run is reliably still mining when
-    // the signal arrives ~150 ms in (mining takes several seconds).
+    // the signal arrives (mining takes several seconds).
     let dir = std::env::temp_dir().join("cfp_cli_tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sigterm_heavy.dat");
@@ -1357,7 +1357,14 @@ fn sigterm_mid_mine_exits_8_with_a_committed_valid_manifest() {
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(150));
+    // Signal once the first manifest is committed: the run is then past
+    // start-up (its signal handler is installed) and mid-mine. A fixed
+    // delay raced start-up on a loaded machine.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while !matches!(cfp_core::ckpt::load(&ck), Ok(Some(_))) {
+        assert!(std::time::Instant::now() < deadline, "no manifest committed within 60 s");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
     let term = Command::new("kill").args(["-TERM", &child.id().to_string()]).status().unwrap();
     assert!(term.success(), "kill -TERM failed");
     let out = child.wait_with_output().unwrap();

@@ -21,11 +21,15 @@
 //! - **One worker** mines each item inline on the caller's thread,
 //!   straight into the sink, with one run-wide output-mode state.
 //! - **N workers** claim cost-sorted items from a shared [`TaskQueue`],
-//!   each recycling one arena across its conditional trees, and send
-//!   each item's buffered itemsets back; the caller's loop replays them
-//!   in descending item order ([`OrderedEmitter`]), so the output stream
-//!   is byte-for-byte the one-worker stream. Condensed modes mine with
-//!   per-task state and are reconciled there ([`Reconcile`]).
+//!   each recycling one arena across its conditional trees. A worker
+//!   encodes its itemsets as it mines them ([`ItemsetBuf`]: Δ-coded
+//!   varints, as the paper stores every large structure) and sends them
+//!   back in chunks of [`CHUNK_BYTES`]. The caller's loop replays the
+//!   chunks in descending item order ([`OrderedEmitter`]): the item whose
+//!   turn it is streams to the sink while it is still being mined, and
+//!   only items ahead of their turn are held, in encoded form. The output
+//!   stream is byte-for-byte the one-worker stream. Condensed modes mine
+//!   with per-task state and are reconciled there ([`Reconcile`]).
 //!
 //! Worker panics are contained per item ([`contain`]) in both shapes,
 //! and the top-k winners drain once, after the loop.
@@ -37,6 +41,7 @@ use crate::growth::{
 use crate::schedule::TaskQueue;
 use cfp_array::{convert, CfpArray};
 use cfp_data::{CfpError, Item, ItemsetSink, MineProgress, MineStats, OutputMode, Source};
+use cfp_encoding::varint;
 use cfp_memman::{ArenaOptions, Component};
 use cfp_metrics::{HeapSize, MemGauge, Stopwatch};
 use cfp_trace::{span, Phase};
@@ -275,7 +280,7 @@ impl Exec {
             // have given it.
             fair_share: (n as u64).div_ceil(workers as u64),
         });
-        let (tx, rx) = mpsc::channel::<(u32, Batch)>();
+        let (tx, rx) = mpsc::channel::<Chunk>();
         let handles = (0..workers)
             .map(|w| {
                 let (shared, tx) = (Arc::clone(&shared), tx.clone());
@@ -286,7 +291,8 @@ impl Exec {
         let mut emitter = OrderedEmitter {
             sink,
             rx,
-            pending: (0..scheduled).map(|_| None).collect(),
+            pending: (0..scheduled).map(|_| Held::default()).collect(),
+            set: Vec::new(),
             reconcile: Reconcile::new(self.opts.output),
             emitted: 0,
             shared,
@@ -454,18 +460,96 @@ impl Reconcile {
     }
 }
 
-/// One task's itemsets in emission order.
-type Batch = Vec<(Vec<Item>, u64)>;
-
-/// Buffers one task's itemsets.
+/// Itemsets in emission order, encoded compactly with the paper's
+/// variable-byte code: per itemset its length, its items Δ-coded (the
+/// first from 0), then its support, each a varint. Sinks receive items
+/// ascending, so each Δ is small; the wrapping difference keeps any
+/// order exact. An itemset of ten small items takes about 14 bytes here,
+/// against some 80 as a `(Vec<Item>, u64)`.
 #[derive(Default)]
-struct TaskSink {
-    buf: Batch,
+pub(crate) struct ItemsetBuf {
+    bytes: Vec<u8>,
 }
 
-impl ItemsetSink for TaskSink {
+impl ItemsetBuf {
+    /// Encoded bytes held.
+    fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Calls `f` on every held itemset, in the order they were emitted.
+    pub(crate) fn replay(&self, f: impl FnMut(&[Item], u64)) {
+        decode(&self.bytes, &mut Vec::new(), f);
+    }
+}
+
+impl ItemsetSink for ItemsetBuf {
     fn emit(&mut self, itemset: &[Item], support: u64) {
-        self.buf.push((itemset.to_vec(), support));
+        varint::write_u64(&mut self.bytes, itemset.len() as u64);
+        let mut prev: Item = 0;
+        for &item in itemset {
+            varint::write_u64(&mut self.bytes, item.wrapping_sub(prev) as u64);
+            prev = item;
+        }
+        varint::write_u64(&mut self.bytes, support);
+    }
+}
+
+/// Calls `f` on every itemset [`ItemsetBuf`] encoded into `bytes`, in
+/// order, decoding each into `set`.
+fn decode(bytes: &[u8], set: &mut Vec<Item>, mut f: impl FnMut(&[Item], u64)) {
+    let mut at = 0;
+    let next = |at: &mut usize| {
+        let (v, n) = varint::read_u64_unchecked(&bytes[*at..]);
+        *at += n;
+        v
+    };
+    while at < bytes.len() {
+        set.clear();
+        let mut prev: Item = 0;
+        for _ in 0..next(&mut at) {
+            prev = prev.wrapping_add(next(&mut at) as Item);
+            set.push(prev);
+        }
+        f(set, next(&mut at));
+    }
+}
+
+/// Encoded bytes a worker gathers before it sends them to the caller.
+const CHUNK_BYTES: usize = 64 << 10;
+
+/// Part of one first-level item's itemsets, encoded by [`ItemsetBuf`].
+/// A worker sends an item's chunks in order; `last` marks the item's
+/// final chunk (possibly empty).
+struct Chunk {
+    item: u32,
+    bytes: Vec<u8>,
+    last: bool,
+}
+
+/// A worker's sink for one task: encodes each itemset as it is mined and
+/// sends a chunk every [`CHUNK_BYTES`].
+struct TaskSink<'t> {
+    item: u32,
+    buf: ItemsetBuf,
+    tx: &'t mpsc::Sender<Chunk>,
+}
+
+impl TaskSink<'_> {
+    fn send(&mut self, last: bool) {
+        // The caller keeps the receiver until every worker is joined
+        // (or abandoned by the watchdog, whose result nobody reads).
+        let bytes = std::mem::take(&mut self.buf.bytes);
+        let _ = self.tx.send(Chunk { item: self.item, bytes, last });
+    }
+}
+
+impl ItemsetSink for TaskSink<'_> {
+    fn emit(&mut self, itemset: &[Item], support: u64) {
+        self.buf.emit(itemset, support);
+        if self.buf.len() >= CHUNK_BYTES {
+            self.send(false);
+        }
     }
 }
 
@@ -499,10 +583,10 @@ struct WorkerTotals {
     cost: u64,
 }
 
-/// A worker: claim items until the queue drains or the run stops, mine
-/// each into a task buffer (condensed state fresh per task; top-k shares
-/// the run's heap) and send it to the caller.
-fn work(w: usize, s: &Shared, tx: mpsc::Sender<(u32, Batch)>) -> Result<WorkerTotals, CfpError> {
+/// A worker: claim items until the queue drains or the run stops, and
+/// mine each into a [`TaskSink`] (condensed state fresh per task; top-k
+/// shares the run's heap) that streams it to the caller.
+fn work(w: usize, s: &Shared, tx: mpsc::Sender<Chunk>) -> Result<WorkerTotals, CfpError> {
     if cfp_trace::events::capturing() {
         // Pin this worker's event track to a stable name before the
         // mine-phase span records its first event.
@@ -539,7 +623,7 @@ fn work(w: usize, s: &Shared, tx: mpsc::Sender<(u32, Batch)>) -> Result<WorkerTo
                     stolen: t.tasks > s.fair_share,
                 });
             }
-            let mut task = TaskSink::default();
+            let mut task = TaskSink { item, buf: ItemsetBuf::default(), tx: &tx };
             let gauge = MemGauge::new();
             let mut mode = ModeCtx::new(s.opts.output, &s.topk);
             let mined = contain(w, || {
@@ -559,9 +643,7 @@ fn work(w: usize, s: &Shared, tx: mpsc::Sender<(u32, Batch)>) -> Result<WorkerTo
                 return Err(e);
             }
             t.peak = t.peak.max(gauge.peak());
-            // The caller keeps the receiver until every worker is joined
-            // (or abandoned by the watchdog, whose result nobody reads).
-            let _ = tx.send((item, task.buf));
+            task.send(true);
         }
     }
     Ok(t)
@@ -582,14 +664,17 @@ fn tick(heartbeat: &AtomicU64, done: u64, fair_share: u64) {
     }
 }
 
-/// The N-worker lane: hands the first-level loop each item's buffered
-/// itemsets in descending item order, holding batches that arrive early
-/// until every higher item has been emitted.
+/// The N-worker lane: replays each item's chunks in descending item
+/// order. The chunks of the item whose turn it is reach the sink as they
+/// arrive; chunks of items ahead of their turn are held, encoded, until
+/// every higher item has been emitted.
 struct OrderedEmitter<'s> {
     sink: &'s mut dyn ItemsetSink,
-    rx: mpsc::Receiver<(u32, Batch)>,
-    /// Batches received ahead of their turn, by item id.
-    pending: Vec<Option<Batch>>,
+    rx: mpsc::Receiver<Chunk>,
+    /// Chunks received ahead of their turn, by item id.
+    pending: Vec<Held>,
+    /// Decoding scratch.
+    set: Vec<Item>,
     reconcile: Option<Reconcile>,
     emitted: u64,
     shared: Arc<Shared>,
@@ -601,11 +686,11 @@ struct OrderedEmitter<'s> {
 }
 
 impl OrderedEmitter<'_> {
-    /// The next batch from any worker. With a worker timeout, a window
-    /// in which neither a batch arrives nor any heartbeat advances is a
+    /// The next chunk from any worker. With a worker timeout, a window
+    /// in which neither a chunk arrives nor any heartbeat advances is a
     /// stall. A closed channel means every worker stopped early; the
     /// placeholder `Interrupted` is resolved by [`finish`](Self::finish).
-    fn recv(&mut self) -> Result<(u32, Batch), CfpError> {
+    fn recv(&mut self) -> Result<Chunk, CfpError> {
         let Some(limit) = self.worker_timeout else {
             return self.rx.recv().map_err(|_| CfpError::Interrupted);
         };
@@ -684,27 +769,53 @@ impl OrderedEmitter<'_> {
             (looped, None) => looped.map(|()| (self.emitted, totals)),
         }
     }
+
+    /// Replays one chunk of the current item through the reconcile
+    /// index, into the sink when `live`.
+    fn replay(&mut self, bytes: &[u8], live: bool) {
+        let OrderedEmitter { sink, set, reconcile, emitted, .. } = self;
+        decode(bytes, set, |itemset, support| {
+            if reconcile.as_mut().is_some_and(|r| !r.admit(itemset, support)) {
+                return;
+            }
+            if live {
+                sink.emit(itemset, support);
+                *emitted += 1;
+            }
+        });
+    }
+}
+
+/// An item's chunks that arrived ahead of its turn.
+#[derive(Default)]
+struct Held {
+    chunks: Vec<Vec<u8>>,
+    /// Whether its last chunk is among them.
+    last: bool,
 }
 
 impl Lane for OrderedEmitter<'_> {
     fn item(&mut self, item: u32, live: bool) -> Result<(), CfpError> {
-        let batch = loop {
-            if let Some(batch) = self.pending[item as usize].take() {
-                break batch;
-            }
-            let (tag, batch) = self.recv()?;
-            self.pending[tag as usize] = Some(batch);
-        };
-        for (itemset, support) in batch {
-            if self.reconcile.as_mut().is_some_and(|r| !r.admit(&itemset, support)) {
-                continue;
-            }
-            if live {
-                self.sink.emit(&itemset, support);
-                self.emitted += 1;
+        let held = std::mem::take(&mut self.pending[item as usize]);
+        for bytes in &held.chunks {
+            self.replay(bytes, live);
+        }
+        if held.last {
+            return Ok(());
+        }
+        loop {
+            let chunk = self.recv()?;
+            if chunk.item == item {
+                self.replay(&chunk.bytes, live);
+                if chunk.last {
+                    return Ok(());
+                }
+            } else {
+                let held = &mut self.pending[chunk.item as usize];
+                held.chunks.push(chunk.bytes);
+                held.last = chunk.last;
             }
         }
-        Ok(())
     }
 
     fn sink(&mut self) -> &mut dyn ItemsetSink {
@@ -714,9 +825,14 @@ impl Lane for OrderedEmitter<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::{ItemsetBuf, CHUNK_BYTES};
     use crate::growth::{CfpGrowthMiner, MineOpts};
+    use crate::ParallelCfpGrowthMiner;
     use cfp_data::miner::{CollectSink, Miner};
-    use cfp_data::{fimi, CfpError, ParsePolicy, Source, TransactionDb};
+    use cfp_data::rng::{Rng, StdRng};
+    use cfp_data::{fimi, CfpError, Item, ItemsetSink, MineProgress, OutputMode};
+    use cfp_data::{ParsePolicy, Source, TransactionDb};
+    use cfp_fault::CancelToken;
 
     fn tmp_file(name: &str, db: &TransactionDb) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("cfp_core_exec");
@@ -806,5 +922,171 @@ mod tests {
         assert_eq!(stats.unwrap().itemsets, 3, "{{1}}, {{2}}, {{1, 2}}");
         assert_eq!(skip.counts().unwrap().parse.skipped_lines, 1);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn itemset_codec_round_trips_extreme_values() {
+        let sets: Vec<(Vec<Item>, u64)> = vec![
+            (vec![0], 1),
+            (vec![Item::MAX], u64::MAX),
+            (vec![], 0),
+            (vec![0, 1, 127, 128, 16_384, Item::MAX - 1, Item::MAX], u64::MAX - 1),
+            (vec![7], 0),
+            (vec![3, 1], 1 << 40),
+        ];
+        let mut buf = ItemsetBuf::default();
+        for (set, support) in &sets {
+            buf.emit(set, *support);
+        }
+        let mut back = Vec::new();
+        buf.replay(|set, support| back.push((set.to_vec(), support)));
+        assert_eq!(back, sets);
+        // Small ascending items take one byte each.
+        let mut small = ItemsetBuf::default();
+        small.emit(&[1, 2, 3, 100], 50);
+        assert_eq!(small.len(), 1 + 4 + 1);
+    }
+
+    /// 1,000 rows over 14 items, each present with probability 0.97:
+    /// every one of the 2^14 - 1 itemsets is frequent at support 500.
+    /// Item ids are spread apart, so each Δ takes three bytes, an itemset
+    /// encodes to some 27 and the heaviest first-level items span several
+    /// chunks.
+    fn dense_db() -> TransactionDb {
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut db = TransactionDb::new();
+        for _ in 0..1000 {
+            let row: Vec<Item> =
+                (0..14u32).filter(|_| rng.gen_bool(0.97)).map(|i| i * 100_000 + 5).collect();
+            db.push(&row);
+        }
+        db
+    }
+
+    const DENSE_SUPPORT: u64 = 500;
+
+    /// Encodes the stream and records its size at every item watermark;
+    /// cancels once `cancel_after` items are done.
+    struct MarkSink {
+        stream: CollectSink,
+        encoded: ItemsetBuf,
+        marks: Vec<usize>,
+        watermark: u64,
+        cancel: Option<(CancelToken, u64)>,
+    }
+
+    impl MarkSink {
+        fn new(cancel: Option<(CancelToken, u64)>) -> Self {
+            let (stream, encoded) = (CollectSink::new(), ItemsetBuf::default());
+            MarkSink { stream, encoded, marks: Vec::new(), watermark: 0, cancel }
+        }
+    }
+
+    impl ItemsetSink for MarkSink {
+        fn emit(&mut self, itemset: &[Item], support: u64) {
+            self.stream.emit(itemset, support);
+            self.encoded.emit(itemset, support);
+        }
+
+        fn progress(&mut self, p: MineProgress<'_>) -> Result<(), CfpError> {
+            if let MineProgress::Items { done } = p {
+                self.watermark = done;
+                self.marks.push(self.encoded.len());
+                if let Some((token, after)) = &self.cancel {
+                    if done >= *after {
+                        token.cancel();
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    fn sequential(output: OutputMode, resume_skip: u64) -> Vec<(Vec<Item>, u64)> {
+        let mut sink = CollectSink::new();
+        let opts = MineOpts { output, resume_skip, ..Default::default() };
+        CfpGrowthMiner::new().try_mine_with(&dense_db(), DENSE_SUPPORT, &mut sink, &opts).unwrap();
+        sink.itemsets
+    }
+
+    fn parallel(
+        threads: usize,
+        output: OutputMode,
+        resume_skip: u64,
+        sink: &mut dyn ItemsetSink,
+        cancel: Option<CancelToken>,
+    ) -> Result<cfp_data::MineStats, CfpError> {
+        let miner = ParallelCfpGrowthMiner {
+            output,
+            resume_skip,
+            cancel,
+            ..ParallelCfpGrowthMiner::new(threads)
+        };
+        miner.try_mine(&dense_db(), DENSE_SUPPORT, sink)
+    }
+
+    #[test]
+    fn dense_items_stream_in_several_chunks() {
+        let mut sink = MarkSink::new(None);
+        parallel(2, OutputMode::All, 0, &mut sink, None).unwrap();
+        assert_eq!(sink.stream.itemsets.len(), (1 << 14) - 1);
+        let mut at = 0;
+        let per_item: Vec<usize> =
+            sink.marks.iter().map(|&m| m - std::mem::replace(&mut at, m)).collect();
+        let multi_chunk = per_item.iter().filter(|&&b| b > CHUNK_BYTES).count();
+        assert!(multi_chunk >= 2, "per-item encoded bytes: {per_item:?}");
+        assert!(per_item[0] > 2 * CHUNK_BYTES, "the head item spans several chunks: {per_item:?}");
+    }
+
+    #[test]
+    fn streamed_parallel_output_is_the_sequential_stream() {
+        // Top-k does not compose with resume; it runs from the start.
+        let cells = [
+            (OutputMode::All, 0),
+            (OutputMode::All, 2),
+            (OutputMode::Closed, 0),
+            (OutputMode::Closed, 3),
+            (OutputMode::Maximal, 0),
+            (OutputMode::Maximal, 1),
+            (OutputMode::TopK(100), 0),
+        ];
+        for (output, skip) in cells {
+            let seq = sequential(output, skip);
+            // Maximal has one itemset, the full set, in the first item.
+            assert!(!seq.is_empty() || skip > 0, "{output} skip={skip}");
+            for threads in [2, 3, 4] {
+                let mut par = CollectSink::new();
+                parallel(threads, output, skip, &mut par, None).unwrap();
+                assert!(
+                    par.itemsets == seq,
+                    "{output} skip={skip} threads={threads}: stream diverged from sequential"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_cancel_stops_at_a_watermark_and_resume_completes() {
+        for output in [OutputMode::All, OutputMode::Closed] {
+            let full = sequential(output, 0);
+            for threads in [2, 3, 4] {
+                // The first item is the heaviest: the cancel lands right
+                // after a many-chunk item streamed.
+                let token = CancelToken::new();
+                let mut first = MarkSink::new(Some((token.clone(), 1)));
+                let err = parallel(threads, output, 0, &mut first, Some(token));
+                assert!(matches!(err, Err(CfpError::Interrupted)), "{err:?}");
+                let watermark = first.watermark;
+                assert_eq!(watermark, 1);
+                let mut second = CollectSink::new();
+                parallel(threads, output, watermark, &mut second, None).unwrap();
+                let mut joined = first.stream.itemsets;
+                joined.extend(second.itemsets);
+                assert!(
+                    joined == full,
+                    "{output} threads={threads}: cancel + resume must equal the whole stream"
+                );
+            }
+        }
     }
 }

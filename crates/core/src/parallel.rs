@@ -12,10 +12,13 @@
 //! cost-sorted first-level items from a shared queue — heavy items
 //! singly, the cheap tail in chunks — so a worker stuck on a deep
 //! conditional recursion never strands unclaimed work; each recycles one
-//! arena across its conditional trees, and the caller emits the
-//! per-item results in descending item order, so the output stream is
-//! byte-for-byte identical to sequential mining. The run itself is the
-//! shared executor's (`crate::exec`); this type only configures it.
+//! arena across its conditional trees and streams its itemsets back in
+//! compact encoded chunks as it mines them. The caller emits them in
+//! descending item order — the item whose turn it is as its chunks
+//! arrive, later items held encoded until their turn — so the output
+//! stream is byte-for-byte identical to sequential mining. The run
+//! itself is the shared executor's (`crate::exec`); this type only
+//! configures it.
 //!
 //! Two robustness mechanisms apply:
 //!
@@ -25,7 +28,7 @@
 //!   limit `t`-fold. Exhaustion in any worker poisons the run and comes
 //!   back as a structured [`CfpError::MemoryExhausted`].
 //! - **A watchdog.** With `worker_timeout` set, each worker ticks a
-//!   heartbeat counter per claimed task; if no result arrives and no
+//!   heartbeat counter per claimed task; if no chunk arrives and no
 //!   unfinished worker's heartbeat advances for the full timeout, the
 //!   run is poisoned and fails with [`CfpError::WorkerTimeout`] instead
 //!   of hanging forever.
@@ -102,7 +105,8 @@ impl ParallelCfpGrowthMiner {
     /// first failure comes back as [`CfpError::WorkerPanic`],
     /// [`CfpError::MemoryExhausted`], or [`CfpError::WorkerTimeout`] —
     /// the process and the caller's sink survive (the sink may have
-    /// received a partial result stream).
+    /// received a partial result stream, possibly ending inside the
+    /// failed item).
     pub fn try_mine_source<'a>(
         &self,
         source: impl Into<Source<'a>>,
@@ -198,7 +202,7 @@ mod tests {
     #[test]
     fn dynamic_schedule_emits_in_exact_sequential_order() {
         // Not just the same multiset: the same stream. The ordered
-        // emitter replays per-item buffers in descending item order,
+        // emitter replays per-item chunks in descending item order,
         // which is exactly the sequential `for item in (0..n).rev()`.
         let p = profiles::by_name("retail-like").unwrap();
         let db = p.generate();

@@ -25,7 +25,8 @@
 //!
 //! Attempts share the source's one pass 1; an input failure is final.
 //!
-//! Output is buffered per attempt and flushed to the caller's sink only
+//! Output is buffered per attempt, in the executor's compact Δ-coded
+//! varint form (`ItemsetBuf`), and flushed to the caller's sink only
 //! when an attempt succeeds, so the caller never sees a partial result
 //! stream mixed into a complete one. Every rung emits a
 //! [`Phase::Recover`] span and a [`RungReport`]; the CLI serialises the
@@ -41,10 +42,9 @@
 //! of the spill store is a checksummed identity transformation of each
 //! partition's array.
 
-use crate::exec::{prepare, Exec, Prepared, Reconcile};
+use crate::exec::{prepare, Exec, ItemsetBuf, Prepared, Reconcile};
 use crate::growth::{ArrayCharge, MineOpts, TopKState};
 use crate::spill::{load_spill_array, write_spill_array, CondSpill};
-use cfp_data::miner::CollectSink;
 use cfp_data::partition::{project, ranges_by_mass};
 use cfp_data::spill::SpillDir;
 use cfp_data::{CfpError, Item, ItemRecoder, ItemsetSink, MineStats, OutputMode, Source};
@@ -267,13 +267,11 @@ impl Supervisor {
                 }
                 _ => 2,
             };
-            let mut buf = CollectSink::new();
+            let mut buf = ItemsetBuf::default();
             match self.run_step(step, &source, min_support, Start::Split(k0), &mut buf, &mut report)
             {
                 Ok(stats) => {
-                    for (itemset, support) in &buf.itemsets {
-                        sink.emit(itemset, *support);
-                    }
+                    buf.replay(|itemset, support| sink.emit(itemset, support));
                     return (Ok(stats), report);
                 }
                 Err(e) => cause = Some(e),
@@ -534,7 +532,7 @@ impl Supervisor {
                         output: part_output,
                     },
                 };
-                let mut buf = CollectSink::new();
+                let mut buf = ItemsetBuf::default();
                 let mine_t0 = cfp_trace::hist::maybe_now();
                 let mined = data.load(&pool).and_then(|prepared| {
                     let mut filter = RangeFilterSink { inner: &mut buf, recoder: &recoder, lo, hi };
@@ -551,21 +549,20 @@ impl Supervisor {
                                 cfp_trace::counters::CORE_SPILL_PARTS_DONE.inc();
                             }
                         }
-                        if let Some(rec) = &mut reconcile {
+                        buf.replay(|set, support| {
                             // Drop candidates subsumed by an earlier
                             // (higher-range) partition; survivors join
                             // the index for the partitions below.
-                            buf.itemsets.retain(|(set, support)| rec.admit(set, *support));
-                        }
-                        if let Some(state) = &topk {
-                            for (set, support) in buf.itemsets.drain(..) {
-                                state.offer(&set, support);
+                            if reconcile.as_mut().is_some_and(|r| !r.admit(set, support)) {
+                                return;
                             }
-                        }
-                        emitted += buf.itemsets.len() as u64;
-                        for (itemset, support) in &buf.itemsets {
-                            sink.emit(itemset, *support);
-                        }
+                            if let Some(state) = &topk {
+                                state.offer(set, support);
+                                return;
+                            }
+                            emitted += 1;
+                            sink.emit(set, support);
+                        });
                         let remaining: Vec<(u32, u32)> = parts
                             .iter()
                             .map(|p| (p.lo, p.hi))
@@ -715,7 +712,7 @@ impl Stored {
 /// Forwards only itemsets whose *maximal* global-recoded item falls in
 /// `[lo, hi)` — the disjointness filter of the partitioned rung.
 struct RangeFilterSink<'a> {
-    inner: &'a mut CollectSink,
+    inner: &'a mut ItemsetBuf,
     recoder: &'a ItemRecoder,
     lo: u32,
     hi: u32,
@@ -736,6 +733,7 @@ impl ItemsetSink for RangeFilterSink<'_> {
 mod tests {
     use super::*;
     use crate::CfpGrowthMiner;
+    use cfp_data::miner::CollectSink;
     use cfp_data::Miner;
     use cfp_data::TransactionDb;
 

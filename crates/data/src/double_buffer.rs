@@ -358,21 +358,43 @@ mod tests {
     #[cfg(feature = "trace")]
     #[test]
     fn buffer_swaps_land_on_the_reader_threads_event_track() {
+        use std::sync::OnceLock;
+        // Other tests start reader threads of their own while capture is
+        // on, so several tracks may carry the default name. The input
+        // tags the track of the thread that reads it — this reader's —
+        // on the first read, before that thread records an event, and
+        // keeps the thread's own name.
+        const TRACK: &str = "buffer-swap-test-reader";
+        struct TaggingInput {
+            inner: std::io::Cursor<Vec<u8>>,
+            thread: Arc<OnceLock<Option<String>>>,
+        }
+        impl Read for TaggingInput {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.thread.get_or_init(|| {
+                    cfp_trace::events::name_thread(TRACK);
+                    std::thread::current().name().map(str::to_string)
+                });
+                self.inner.read(buf)
+            }
+        }
+
         cfp_trace::events::set_capture(true);
-        let text = sample_text(250);
-        let rdr = DoubleBufferedReader::with_policy(
-            std::io::Cursor::new(text.into_bytes()),
-            100,
-            ParsePolicy::Strict,
-        );
+        let thread = Arc::new(OnceLock::new());
+        let input = TaggingInput {
+            inner: std::io::Cursor::new(sample_text(250).into_bytes()),
+            thread: Arc::clone(&thread),
+        };
+        let rdr = DoubleBufferedReader::with_policy(input, 100, ParsePolicy::Strict);
         let db = collect(rdr).unwrap();
         assert_eq!(db.len(), 250);
         cfp_trace::events::set_capture(false);
+        assert_eq!(thread.get(), Some(&Some("cfp-data-reader".to_string())));
         let tracks = cfp_trace::events::drain();
         let reader = tracks
             .iter()
-            .find(|t| t.name == "cfp-data-reader")
-            .expect("reader thread must have a named track");
+            .find(|t| t.name == TRACK)
+            .expect("the reader thread must record on its own track");
         let swaps: Vec<u32> = reader
             .events
             .iter()

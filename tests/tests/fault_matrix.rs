@@ -11,8 +11,8 @@
 
 use cfp_core::growth::try_build_tree;
 use cfp_core::{
-    CfpGrowthMiner, CountingSink, MineOpts, ParallelCfpGrowthMiner, RecoveryPolicy, Source,
-    Supervisor,
+    CfpGrowthMiner, CollectSink, CountingSink, MineOpts, ParallelCfpGrowthMiner, RecoveryPolicy,
+    Source, Supervisor,
 };
 use cfp_data::double_buffer::DoubleBufferedReader;
 use cfp_data::rng::{Rng, StdRng};
@@ -152,6 +152,46 @@ fn all_workers_failing_still_yields_one_structured_error() {
     let err = miner.try_mine(&db, 2, &mut sink).expect_err("all workers fail");
     assert!(matches!(err, CfpError::WorkerPanic { .. }), "{err:?}");
     clear_all();
+}
+
+/// Class 3 on a stream of many chunks: a dense database whose heaviest
+/// first-level items each encode to several 64 KiB chunks, so the item
+/// at the head of the output streams while it is still being mined. A
+/// contained worker panic still comes back as `WorkerPanic` (exit code
+/// 5), and what reached the sink is a prefix of the sequential stream.
+#[test]
+fn worker_panic_mid_stream_leaves_a_prefix_of_the_sequential_stream() {
+    let _g = armed();
+    let mut rng = StdRng::seed_from_u64(14);
+    let mut db = TransactionDb::new();
+    for _ in 0..1000 {
+        let row: Vec<u32> =
+            (0..14u32).filter(|_| rng.gen_bool(0.97)).map(|i| i * 100_000 + 5).collect();
+        db.push(&row);
+    }
+    let mut seq = CollectSink::new();
+    CfpGrowthMiner::new().try_mine(&db, 500, &mut seq).expect("disarmed sequential run");
+    assert_eq!(seq.itemsets.len(), (1 << 14) - 1);
+
+    for threads in [2, 4] {
+        for nth in [1, 2, 5] {
+            configure("core.worker", FaultMode::Nth(nth));
+            let mut sink = CollectSink::new();
+            let err = ParallelCfpGrowthMiner::new(threads)
+                .try_mine(&db, 500, &mut sink)
+                .expect_err("armed worker must fail");
+            assert!(matches!(err, CfpError::WorkerPanic { .. }), "{err:?}");
+            assert_eq!(err.exit_code(), 5);
+            let got = &sink.itemsets;
+            assert!(got.len() < seq.itemsets.len(), "threads={threads} nth={nth}");
+            assert!(
+                seq.itemsets.starts_with(got),
+                "threads={threads} nth={nth}: {} itemsets emitted, not a sequential prefix",
+                got.len()
+            );
+            clear_all();
+        }
+    }
 }
 
 /// Class 4 — an I/O failure mid-stream ("data.read"): the double-buffered
